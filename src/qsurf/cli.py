@@ -223,6 +223,7 @@ def cmd_sweep(args) -> int:
             "taper": float(setup.taper),
             "window_length": float(setup.length),
         },
+        "solver": curve.meta["solver"],
         "failures": curve.failures,
     }
     _write_json(outdir / f"{cfg.output.prefix}_sweep_summary.json", summary)

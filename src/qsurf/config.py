@@ -17,7 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -96,13 +96,45 @@ _SECTIONS = {
     "output": OutputSpec,
 }
 
+# declared type of every config field, per section class
+_FIELD_TYPES = {cls: get_type_hints(cls) for cls in _SECTIONS.values()}
+
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    str: "a string",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def _fits(value, tp) -> bool:
+    if get_origin(tp) is Union:
+        return any(_fits(value, arg) for arg in get_args(tp))
+    if tp is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, tp)
+
+
+def _check_type(section: str, key: str, value) -> None:
+    """Reject a value that does not fit the declared type of section.key."""
+    tp = _FIELD_TYPES[_SECTIONS[section]][key]
+    if not _fits(value, tp):
+        options = get_args(tp) if get_origin(tp) is Union else (tp,)
+        expected = " or ".join(_TYPE_NAMES[t] for t in options)
+        raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+
 
 def config_to_dict(cfg: RunConfig) -> dict:
     return asdict(cfg)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from nested dicts, rejecting unknown keys."""
+    """Build a RunConfig from nested dicts, rejecting unknown keys and values
+    that do not fit a field's declared type."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(data) - set(_SECTIONS)
@@ -120,6 +152,8 @@ def config_from_dict(data: dict) -> RunConfig:
                 f"unknown keys in section '{name}': {sorted(bad)} "
                 f"(allowed: {sorted(allowed)})"
             )
+        for key, value in section.items():
+            _check_type(name, key, value)
         kwargs[name] = cls(**section)
     return RunConfig(**kwargs)
 
@@ -142,7 +176,10 @@ def load(path) -> RunConfig:
 
 
 def apply_override(cfg: RunConfig, dotted_key: str, raw_value: str) -> None:
-    """Set ``section.key`` from a command-line string (JSON literal or str)."""
+    """Set ``section.key`` from a command-line string (JSON literal or str).
+
+    The value must fit the field's declared type, as in :func:`config_from_dict`.
+    """
     try:
         section_name, key = dotted_key.split(".", 1)
     except ValueError:
@@ -152,12 +189,15 @@ def apply_override(cfg: RunConfig, dotted_key: str, raw_value: str) -> None:
     if section_name not in _SECTIONS:
         raise ConfigError(f"unknown config section '{section_name}'")
     section = getattr(cfg, section_name)
-    if not hasattr(section, key):
+    if key not in _FIELD_TYPES[type(section)]:
         raise ConfigError(f"unknown key '{key}' in section '{section_name}'")
     try:
         value = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value
+    if _FIELD_TYPES[type(section)][key] is str and not isinstance(value, str):
+        value = raw_value  # e.g. output.prefix=2024 stays the string "2024"
+    _check_type(section_name, key, value)
     setattr(section, key, value)
 
 

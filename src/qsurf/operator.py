@@ -105,34 +105,30 @@ def lead_modes(
 ) -> LeadModeSet:
     """Exact eigenmodes of the discrete clean lead at energy e1.
 
-    The lattice dispersion E = offset + (2/dz^2)(1 - cos k dz) is inverted per
-    channel; below-threshold channels get the decaying branch (|e^{i k dz}| < 1).
+    The lattice dispersion E = offset + (2/dz^2)(1 - cos k dz) is inverted for
+    all channels at once with x = cos(k dz): |x| < 1 is open; x >= 1 (ties
+    included) decays with real e^{i k dz} in (0, 1]; x <= -1 decays with an
+    alternating sign, k = pi/dz + i kappa.  |e^{i k dz}| <= 1 on every branch
+    (= 1 on open channels, up to rounding).
     """
     modes = basis.modes
     vg = basis.geometric_potential if include_vg else 0.0
     offsets = (modes / basis.radius) ** 2 + vg
     x = 1.0 - (e1 - offsets) * dz**2 / 2.0
 
-    k = np.empty(modes.shape, dtype=complex)
-    bloch = np.empty(modes.shape, dtype=complex)
-    velocity = np.zeros(modes.shape, dtype=float)
-    open_mask = np.zeros(modes.shape, dtype=bool)
-
-    for i, xi in enumerate(x):
-        if -1.0 < xi < 1.0:
-            s = math.sqrt(1.0 - xi * xi)
-            k[i] = math.acos(xi) / dz
-            bloch[i] = complex(xi, s)
-            velocity[i] = 2.0 * s / dz
-            open_mask[i] = True
-        elif xi >= 1.0:
-            kap = math.acosh(xi) / dz if xi > 1.0 else 0.0
-            k[i] = 1j * kap
-            bloch[i] = xi - math.sqrt(xi * xi - 1.0)
-        else:
-            kap = math.acosh(-xi) / dz
-            k[i] = math.pi / dz + 1j * kap
-            bloch[i] = xi + math.sqrt(xi * xi - 1.0)
+    open_mask = np.abs(x) < 1.0
+    above = x >= 1.0
+    s = np.sqrt(np.where(open_mask, 1.0 - x * x, 0.0))
+    root = np.sqrt(np.where(open_mask, 0.0, x * x - 1.0))
+    k_re = np.where(
+        open_mask,
+        np.arccos(np.clip(x, -1.0, 1.0)) / dz,
+        np.where(above, 0.0, math.pi / dz),
+    )
+    kappa = np.arccosh(np.where(open_mask, 1.0, np.abs(x))) / dz
+    k = k_re + 1j * kappa
+    bloch = np.where(open_mask, x + 1j * s, np.where(above, x - root, x + root))
+    velocity = 2.0 * s / dz
 
     return LeadModeSet(
         e1=float(e1),

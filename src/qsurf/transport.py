@@ -2,12 +2,32 @@
 
 The device (scattering window plus optional clean padding) is a
 block-tridiagonal lattice; semi-infinite clean leads are folded into
-self-energies on the first and last slice.  The retarded Green's function is
-computed slice by slice (recursive Green's function, i.e. a block Thomas
-sweep), the scattering state is obtained from an injection source on the
-boundary slice, and transmission/reflection amplitudes follow from the lead
-Bloch factors with lattice-velocity flux normalization, so S-matrix unitarity
-holds to machine precision on the lattice.
+self-energies on the first and last slice.  The scattering state is obtained
+from an injection source on a boundary slice, and transmission/reflection
+amplitudes follow from the lead Bloch factors with lattice-velocity flux
+normalization, so S-matrix unitarity holds to machine precision on the
+lattice.
+
+Two solvers share one setup (:func:`_prepare`: lead modes, threshold flag,
+self-energy):
+
+* the S-matrix only needs the wavefunction on the two boundary slices, i.e.
+  the corner blocks G_11, G_N1, G_1N, G_NN of the retarded Green's function.
+  A forward-only recursive Green's function (RGF) sweep carries them slice by
+  slice for a whole stack of energies at once; energies with the same open
+  channels share a stack.  With D_n the diagonal block of (E - H - Sigma),
+  b = 1/dz^2 the off-diagonal block, g_n the left-connected Green's function
+  of slices 1..n and Q the injection source on the first slice:
+
+      g_n    = (D_n - b^2 g_{n-1})^{-1}
+      G_n1 Q = -b g_n G_{n-1,1} Q
+      G_1n   = -b G_{1,n-1} g_n                      (open rows only)
+      G_11 Q = G_11 Q + b^2 G_{1,n-1} g_n G_{n-1,1} Q  (open rows only)
+
+  and g_N = G_NN.  Memory does not grow with the slice count, and every
+  energy's result is independent of the stack it was solved in;
+* density maps need psi on every slice and use the block Thomas solve (the
+  same forward sweep followed by the Green's-function backsubstitution).
 
 Derivation of the injection and extraction formulas, in the conventions of
 :mod:`qsurf.operator` (hopping t = -1/dz^2, lead on-site 2/dz^2 + offset_l):
@@ -27,9 +47,12 @@ Derivation of the injection and extraction formulas, in the conventions of
 
 from __future__ import annotations
 
+import functools
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +137,42 @@ class SMatrix:
         return int(hits[0])
 
 
+class _Point(NamedTuple):
+    """Energy-dependent setup of one scattering problem (see :func:`_prepare`)."""
+
+    e1: float
+    leads: LeadModeSet
+    open_idx: np.ndarray
+    sigma: np.ndarray
+    threshold_flag: bool
+
+
+def _prepare(op: CoupledChannelOperator, e1: float) -> _Point:
+    """Lead modes, open channels, self-energy and threshold flag at e1.
+
+    A NumericalError raised here concerns this energy only.
+    """
+    if op.style != "open":
+        raise ValueError("transport needs an operator assembled with closed=False")
+    leads = op.lead_mode_set(e1)
+    threshold_flag = bool(np.min(np.abs(e1 - leads.offsets)) < THRESHOLD_ATOL)
+    if threshold_flag:
+        warnings.warn(
+            f"E1 = {e1!r} is within {THRESHOLD_ATOL} of a channel threshold",
+            ThresholdProximityWarning,
+            stacklevel=3,
+        )
+    sigma = lead_self_energy(leads, op.dz)
+    open_idx = np.nonzero(leads.open_mask)[0]
+    return _Point(float(e1), leads, open_idx, sigma, threshold_flag)
+
+
+def _injection_amplitudes(point: _Point, dz: float) -> np.ndarray:
+    """Source strengths i (v_l/dz) e^{i k_l dz} of the open channels."""
+    leads, open_idx = point.leads, point.open_idx
+    return 1j * (leads.velocity[open_idx] / dz) * leads.bloch[open_idx]
+
+
 def _solve_block_tridiag(d_blocks: np.ndarray, b: float, rhs: np.ndarray):
     """Solve the block-tridiagonal system with diagonal blocks ``d_blocks`` and
     constant scalar off-diagonal blocks ``b * I`` (both sides).
@@ -145,70 +204,91 @@ def _solve_block_tridiag(d_blocks: np.ndarray, b: float, rhs: np.ndarray):
 
 
 def _scattering_solution(op: CoupledChannelOperator, e1: float):
-    """Shared setup: leads, self-energy, and the solved scattering state
-    for unit-amplitude injection in every open channel from both sides.
+    """Scattering state on every slice by the block Thomas solve, for
+    unit-amplitude injection in every open channel from both sides.
 
-    Returns (leads, open_idx, psi, threshold_flag) with psi of shape
-    (n_slices, n_modes, 2*n_open); columns 0..n_open-1 are left incidence in
-    the order of open modes, the rest right incidence.
+    Returns (point, psi) with psi of shape (n_slices, n_modes, 2*n_open);
+    columns 0..n_open-1 are left incidence in the order of open modes, the
+    rest right incidence.
     """
-    if op.style != "open":
-        raise ValueError("transport needs an operator assembled with closed=False")
-    leads = op.lead_mode_set(e1)
-    threshold_flag = bool(np.min(np.abs(e1 - leads.offsets)) < THRESHOLD_ATOL)
-    if threshold_flag:
-        warnings.warn(
-            f"E1 = {e1!r} is within {THRESHOLD_ATOL} of a channel threshold",
-            ThresholdProximityWarning,
-            stacklevel=3,
-        )
-    open_idx = np.nonzero(leads.open_mask)[0]
+    point = _prepare(op, e1)
+    open_idx = point.open_idx
     n_sl, n = op.n_slices, op.n_modes
 
-    sigma = lead_self_energy(leads, op.dz)
     d_blocks = -op.onsite.copy()
     idx = np.arange(n)
     d_blocks[:, idx, idx] += e1
-    d_blocks[0, idx, idx] -= sigma
-    d_blocks[n_sl - 1, idx, idx] -= sigma
+    d_blocks[0, idx, idx] -= point.sigma
+    d_blocks[n_sl - 1, idx, idx] -= point.sigma
 
     n_open = open_idx.size
     if n_open == 0:
-        return leads, open_idx, np.zeros((n_sl, n, 0), dtype=complex), threshold_flag
+        return point, np.zeros((n_sl, n, 0), dtype=complex)
 
     rhs = np.zeros((n_sl, n, 2 * n_open), dtype=complex)
-    amp = 1j * (leads.velocity[open_idx] / op.dz) * leads.bloch[open_idx]
+    amp = _injection_amplitudes(point, op.dz)
     rhs[0, open_idx, np.arange(n_open)] = amp
     rhs[n_sl - 1, open_idx, n_open + np.arange(n_open)] = amp
 
     b = -op.hop  # off-diagonal block of (E - H) is +1/dz^2
-    psi = _solve_block_tridiag(d_blocks, b, rhs)
-    return leads, open_idx, psi, threshold_flag
+    return point, _solve_block_tridiag(d_blocks, b, rhs)
 
 
-def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
-    """S-matrix at energy e1 via the recursive Green's function sweep."""
-    leads, open_idx, psi, flagged = _scattering_solution(op, e1)
+def _corner_recursion(op: CoupledChannelOperator, points: list, stats: Counter):
+    """Boundary-slice scattering states for a stack of energies that share one
+    set of open channels.
+
+    Runs the forward-only corner recursion of the module docstring with one
+    batched inversion per slice.  Returns (first, last), each of shape
+    (n_points, n_open, 2*n_open): psi on the first and last slice restricted
+    to the open channels, columns ordered as in :func:`_scattering_solution`.
+    """
+    open_idx = points[0].open_idx
+    n_sl, n = op.n_slices, op.n_modes
+    b = -op.hop
+    idx = np.arange(n)
+    e_eye = np.array([p.e1 for p in points])[:, None, None] * np.eye(n)
+    sigma_eye = np.zeros((len(points), n, n), dtype=complex)
+    sigma_eye[:, idx, idx] = [p.sigma for p in points]
+    for j in range(n_sl):
+        d = e_eye - op.onsite[j]
+        if j == 0:
+            d -= sigma_eye
+        else:
+            d += b * h  # -b^2 g_{j-1}
+        if j == n_sl - 1:
+            d -= sigma_eye
+        stats["inversions"] += 1
+        try:
+            g = np.linalg.inv(d)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"slice {j} inversion failed: {exc}") from exc
+        h = -b * g
+        if j == 0:
+            g_j1 = g[:, :, open_idx]  # G_j1[:, open]
+            bg_1j = h[:, open_idx, :]  # -b G_1j[open, :]
+            g_11 = g[:, open_idx][:, :, open_idx]  # G_11[open, open]
+        else:
+            g_j1 = h @ g_j1
+            g_11 += bg_1j @ g_j1
+            bg_1j = bg_1j @ h
+    amps = np.array([_injection_amplitudes(p, op.dz) for p in points])
+    amps = np.concatenate([amps, amps], axis=1)[:, None, :]
+    g_nn = g[:, open_idx][:, :, open_idx]
+    first = np.concatenate([g_11, bg_1j[:, :, open_idx] / -b], axis=2)
+    last = np.concatenate([g_j1[:, open_idx, :], g_nn], axis=2)
+    return first * amps, last * amps
+
+
+def _boundary_smatrix(
+    op: CoupledChannelOperator, point: _Point, first: np.ndarray, last: np.ndarray
+) -> SMatrix:
+    """Flux-normalized S-matrix from psi on the first and last slice
+    (open-channel rows, columns as in :func:`_scattering_solution`)."""
+    leads, open_idx = point.leads, point.open_idx
     n_open = open_idx.size
-    if n_open == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return SMatrix(
-            e1=float(e1),
-            open_modes=np.array([], dtype=int),
-            t=empty,
-            r=empty,
-            t_reverse=empty,
-            r_reverse=empty,
-            velocities=np.array([]),
-            leads=leads,
-            include_vg=op.include_vg,
-            threshold_flag=flagged,
-        )
-
     bloch_open = leads.bloch[open_idx]
     v_open = leads.velocity[open_idx]
-    first = psi[0][open_idx, :]
-    last = psi[-1][open_idx, :]
 
     cols_l = np.arange(n_open)
     cols_r = n_open + cols_l
@@ -219,7 +299,7 @@ def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
 
     flux = np.sqrt(v_open)[:, None] / np.sqrt(v_open)[None, :]
     return SMatrix(
-        e1=float(e1),
+        e1=point.e1,
         open_modes=leads.modes[open_idx],
         t=flux * t_raw,
         r=flux * r_raw,
@@ -228,8 +308,26 @@ def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
         velocities=v_open,
         leads=leads,
         include_vg=op.include_vg,
-        threshold_flag=flagged,
+        threshold_flag=point.threshold_flag,
     )
+
+
+def _smatrices(op: CoupledChannelOperator, points: list, stats: Counter) -> list:
+    """S-matrices of a stack of points that share one set of open channels.
+
+    Raises NumericalError for the whole stack if any of its blocks is singular.
+    """
+    if points[0].open_idx.size == 0:
+        first = last = np.zeros((len(points), 0, 0), dtype=complex)
+    else:
+        first, last = _corner_recursion(op, points, stats)
+    return [_boundary_smatrix(op, p, f, l) for p, f, l in zip(points, first, last)]
+
+
+def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
+    """S-matrix at energy e1 via the recursive Green's function sweep
+    (the batched corner recursion on a stack of one energy)."""
+    return _smatrices(op, [_prepare(op, e1)], Counter())[0]
 
 
 def conductance(s: SMatrix):
@@ -298,11 +396,12 @@ def scattering_density(
 ) -> DensityMap:
     """Scattering wavefunction density for one incident open mode.
 
-    The channel column is reconstructed by the same block sweep used for the
-    S-matrix and synthesized on a uniform theta grid.
+    The channel column is reconstructed on every slice by the block Thomas
+    solve and synthesized on a uniform theta grid.
     """
-    leads, open_idx, psi, _ = _scattering_solution(op, e1)
-    open_modes = leads.modes[open_idx]
+    point, psi = _scattering_solution(op, e1)
+    open_idx = point.open_idx
+    open_modes = point.leads.modes[open_idx]
     hits = np.nonzero(open_modes == l_incident)[0]
     if hits.size == 0:
         offset = (l_incident / op.basis.radius) ** 2 + (
@@ -341,8 +440,8 @@ class SweepPlan:
 
     ``energies`` are absolute E1 values (same convention as the operator's
     include_vg flag).  ``record_l`` bounds |l| of the recorded mode-resolved
-    pairs; ``pair`` selects the polarization pair.  Workers > 1 parallelize
-    over energy points with deterministic result order.
+    pairs; ``pair`` selects the polarization pair.  Workers > 1 split the
+    grid into contiguous energy chunks solved in parallel processes.
     """
 
     op: CoupledChannelOperator
@@ -370,8 +469,19 @@ class ConductanceCurve:
     meta: dict = field(default_factory=dict)
 
 
-def _sweep_point(op: CoupledChannelOperator, e1: float, pair: int, record_l: int):
-    s = rgf_smatrix(op, e1)
+# per-point columns of a sweep, in the order _point_observables returns them
+_COLUMNS = (
+    "sigma_total",
+    "sigma_modes",
+    "p_lz",
+    "n_open",
+    "unitarity",
+    "flux_error",
+    "threshold_flags",
+)
+
+
+def _point_observables(s: SMatrix, pair: int, record_l: int):
     rec = np.arange(-record_l, record_l + 1)
     sig = np.zeros((rec.size, rec.size))
     total, table = conductance(s)
@@ -393,92 +503,110 @@ def _sweep_point(op: CoupledChannelOperator, e1: float, pair: int, record_l: int
     )
 
 
-_WORKER_STATE: dict = {}
+def _sweep_chunk(op: CoupledChannelOperator, energies, pair: int, record_l: int):
+    """Observables on a contiguous chunk of the energy grid.
 
+    Energies with the same open channels are solved as one stack.  When a
+    stack hits a singular block, it is re-solved one energy at a time, so only
+    the bad point fails.  Returns (columns, failures, stats); failure indices
+    are local to the chunk.
+    """
+    n_e = len(energies)
+    n_rec = 2 * record_l + 1
+    columns = {
+        "sigma_total": np.full(n_e, np.nan),
+        "sigma_modes": np.full((n_e, n_rec, n_rec), np.nan),
+        "p_lz": np.full(n_e, np.nan),
+        "n_open": np.zeros(n_e, dtype=int),
+        "unitarity": np.full(n_e, np.nan),
+        "flux_error": np.full(n_e, np.nan),
+        "threshold_flags": np.zeros(n_e, dtype=bool),
+    }
+    failures: list = []
+    stats: Counter = Counter()
+    points: dict = {}
+    stacks: dict = {}
+    for i, e1 in enumerate(energies):
+        try:
+            points[i] = _prepare(op, e1)
+        except NumericalError as exc:
+            failures.append({"index": i, "e1": float(e1), "error": str(exc)})
+            continue
+        stacks.setdefault(tuple(points[i].open_idx), []).append(i)
+    stats["stacks"] = len(stacks)
 
-def _init_worker(op, pair, record_l):
-    _WORKER_STATE["args"] = (op, pair, record_l)
-
-
-def _point_worker(e1):
-    op, pair, record_l = _WORKER_STATE["args"]
-    try:
-        return ("ok", _sweep_point(op, e1, pair, record_l))
-    except NumericalError as exc:
-        return ("err", str(exc))
+    queue = list(stacks.values())
+    while queue:
+        idx = queue.pop()
+        try:
+            smats = _smatrices(op, [points[i] for i in idx], stats)
+        except NumericalError as exc:
+            if len(idx) > 1:
+                stats["fallback_points"] += len(idx)
+                queue.extend([i] for i in idx)
+            else:
+                failures.append(
+                    {"index": idx[0], "e1": float(energies[idx[0]]), "error": str(exc)}
+                )
+            continue
+        for i, s in zip(idx, smats):
+            for name, value in zip(_COLUMNS, _point_observables(s, pair, record_l)):
+                columns[name][i] = value
+    failures.sort(key=lambda f: f["index"])
+    return columns, failures, stats
 
 
 def energy_sweep(plan: SweepPlan) -> ConductanceCurve:
     """Run the scattering problem over an energy grid.
 
-    Per-point failures are recorded in ``failures`` and the sweep continues;
-    results are deterministic and ordered by the energy grid regardless of the
+    Per-point failures are recorded in ``failures`` and the sweep continues.
+    With ``workers`` > 1 the grid is split into that many contiguous chunks,
+    solved in a process pool.  Every point's result is independent of the
+    chunk and stack it was solved in, so the output is bit-identical for any
     worker count.
     """
     op = plan.op
     energies = np.asarray(plan.energies, dtype=float)
-    n_e = energies.size
-    rec = np.arange(-plan.record_l, plan.record_l + 1)
-
-    sigma_total = np.full(n_e, np.nan)
-    sigma_modes = np.full((n_e, rec.size, rec.size), np.nan)
-    p_lz = np.full(n_e, np.nan)
-    n_open = np.zeros(n_e, dtype=int)
-    unitarity = np.full(n_e, np.nan)
-    flux = np.full(n_e, np.nan)
-    flags = np.zeros(n_e, dtype=bool)
-    failures: list = []
-
-    def store(i, result):
-        (
-            sigma_total[i],
-            sigma_modes[i],
-            p_lz[i],
-            n_open[i],
-            unitarity[i],
-            flux[i],
-            flags[i],
-        ) = result
-
-    if plan.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=plan.workers,
-            initializer=_init_worker,
-            initargs=(op, plan.pair, plan.record_l),
-        ) as pool:
-            for i, (status, payload) in enumerate(pool.map(_point_worker, energies)):
-                if status == "ok":
-                    store(i, payload)
-                else:
-                    failures.append(
-                        {"index": i, "e1": float(energies[i]), "error": payload}
-                    )
+    chunks = np.array_split(energies, max(1, min(plan.workers, energies.size)))
+    if len(chunks) > 1:
+        sweep = functools.partial(
+            _sweep_chunk, op, pair=plan.pair, record_l=plan.record_l
+        )
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(sweep, chunks))
     else:
-        for i, e1 in enumerate(energies):
-            try:
-                store(i, _sweep_point(op, e1, plan.pair, plan.record_l))
-            except NumericalError as exc:
-                failures.append({"index": i, "e1": float(e1), "error": str(exc)})
+        parts = [_sweep_chunk(op, energies, plan.pair, plan.record_l)]
+
+    columns = {name: np.concatenate([p[0][name] for p in parts]) for name in _COLUMNS}
+    failures: list = []
+    stats: Counter = Counter()
+    start = 0
+    for chunk, (_, chunk_failures, chunk_stats) in zip(chunks, parts):
+        failures += [{**f, "index": f["index"] + start} for f in chunk_failures]
+        stats.update(chunk_stats)
+        start += chunk.size
 
     band_bottom = float(np.min(op.lead_offsets))
     return ConductanceCurve(
         energies=energies,
         energies_relative=energies - band_bottom,
-        sigma_total=sigma_total,
-        sigma_modes=sigma_modes,
-        recorded_modes=rec,
-        p_lz=p_lz,
-        n_open=n_open,
-        unitarity=unitarity,
-        flux_error=flux,
-        threshold_flags=flags,
+        recorded_modes=np.arange(-plan.record_l, plan.record_l + 1),
         failures=failures,
         meta={
             "include_vg": op.include_vg,
             "pair": plan.pair,
             "sigma_index_order": "sigma[l_incident, l_outgoing]",
             "band_bottom": band_bottom,
+            "solver": {
+                "path": "rgf-batched",
+                "n_slices": int(op.n_slices),
+                "n_modes": int(op.n_modes),
+                "stacks": int(stats["stacks"]),
+                "inversions": int(stats["inversions"]),
+                "fallback_points": int(stats["fallback_points"]),
+            },
         },
+        **columns,
     )
 
 
@@ -488,10 +616,12 @@ def sweep_energies(
     n_points: int,
     thresholds: np.ndarray,
 ) -> np.ndarray:
-    """Monotone energy grid nudged off exact channel thresholds.
+    """Monotone energy grid in [e_min, e_max] nudged off exact channel
+    thresholds.
 
-    Points falling within 1e-9 of a threshold are shifted by half a grid
-    step (thresholds are flagged, never interpolated over).
+    Points falling within 1e-9 of a threshold are shifted up by half a grid
+    step, or down where up would leave the range (thresholds are flagged,
+    never interpolated over).
     """
     if n_points < 1 or e_max <= e_min:
         raise ValueError("need e_max > e_min and at least one point")
@@ -499,5 +629,6 @@ def sweep_energies(
     step = (e_max - e_min) / max(n_points - 1, 1)
     for i, e in enumerate(grid):
         if np.min(np.abs(e - thresholds)) < THRESHOLD_ATOL:
-            grid[i] = e + 0.5 * step
+            up = e + 0.5 * step
+            grid[i] = up if up <= e_max else e - 0.5 * step
     return grid

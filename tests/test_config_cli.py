@@ -108,6 +108,23 @@ def test_override_parsing():
         cfgmod.apply_override(cfg, "kappa", "1")
 
 
+def test_badly_typed_values_rejected():
+    with pytest.raises(ConfigError, match="sweep.n_points must be an integer"):
+        cfgmod.parse(json.dumps({"sweep": {"n_points": 2.5}}))
+    with pytest.raises(ConfigError, match="numerics.workers must be an integer"):
+        cfgmod.parse(json.dumps({"numerics": {"workers": "abc"}}))
+    with pytest.raises(ConfigError, match="include_vg must be true or false"):
+        cfgmod.parse(json.dumps({"numerics": {"include_vg": 1}}))
+    cfg = paper_config()
+    with pytest.raises(ConfigError, match="numerics.l_max must be an integer or null"):
+        cfgmod.apply_override(cfg, "numerics.l_max", "abc")
+    cfgmod.apply_override(cfg, "numerics.l_max", "null")
+    cfgmod.apply_override(cfg, "numerics.dz", "2")  # integers are numbers
+    cfgmod.apply_override(cfg, "output.prefix", "2024")
+    assert cfg.numerics.l_max is None and cfg.numerics.dz == 2
+    assert cfg.output.prefix == "2024"
+
+
 def test_resolved_energies_avoid_thresholds():
     cfg = paper_config(e1_min=0.5, e1_max=1.5, n_points=3)  # grid hits 1.0
     setup = cfgmod.resolve(cfg)
@@ -196,6 +213,29 @@ def test_cmd_sweep_csv_deterministic(tmp_path):
     assert cli.main(["sweep", "--config", str(path), "--out", str(out1)]) == 0
     assert cli.main(["sweep", "--config", str(path), "--out", str(out2)]) == 0
     assert (out1 / "run_sweep.csv").read_bytes() == (out2 / "run_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("override", ["numerics.workers=abc", "sweep.n_points=2.5"])
+def test_cmd_badly_typed_override_exits_1(tmp_path, capsys, override):
+    path = write_config(tmp_path, paper_config())
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path), "--set", override]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert override.split("=")[0] in err
+
+
+def test_cmd_sweep_summary_reports_solver(tmp_path):
+    cfg = paper_config(n_points=12, e1_min=0.4, e1_max=2.0)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "run_sweep_summary.json").read_text())
+    solver = summary["solver"]
+    assert solver["path"] == "rgf-batched"
+    assert solver["n_slices"] == summary["diagnostics"]["n_slices"]
+    assert solver["stacks"] == 2  # one and three open channels
+    assert solver["inversions"] == solver["stacks"] * solver["n_slices"]
+    assert solver["fallback_points"] == 0
 
 
 def test_cmd_sweep_empty_range_exits_1(tmp_path):

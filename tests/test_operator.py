@@ -1,5 +1,7 @@
 """Coupled-channel assembly, Fourier couplings, lead modes, and the 2D operator."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -234,6 +236,53 @@ def test_lead_mode_branches():
 # ---------------------------------------------------------------------------
 # 2D operator
 # ---------------------------------------------------------------------------
+
+
+def _scalar_lead_branches(x, dz):
+    """Per-channel reference formulas for (k, bloch, velocity, open)."""
+    if -1.0 < x < 1.0:
+        s = math.sqrt(1.0 - x * x)
+        return complex(math.acos(x) / dz), complex(x, s), 2.0 * s / dz, True
+    if x >= 1.0:
+        return 1j * math.acosh(x) / dz, complex(x - math.sqrt(x * x - 1.0)), 0.0, False
+    kap = math.acosh(-x) / dz
+    return math.pi / dz + 1j * kap, complex(x + math.sqrt(x * x - 1.0)), 0.0, False
+
+
+def test_lead_modes_match_scalar_formulas():
+    for l_max, radius, dz in ((0, 1.0, 0.5), (3, 0.7, 0.05), (6, 1.0, 0.013)):
+        basis = op.ChannelBasis(l_max=l_max, radius=radius)
+        offsets = (basis.modes / radius) ** 2
+        energies = np.concatenate(
+            [np.linspace(-2.0, 60.0, 157), offsets, [4.0 / dz**2 + 3.0]]
+        )
+        for e1 in energies:
+            leads = op.lead_modes(float(e1), basis, dz, include_vg=False)
+            x = 1.0 - (e1 - offsets) * dz**2 / 2.0
+            ref = [_scalar_lead_branches(float(xi), dz) for xi in x]
+            np.testing.assert_allclose(leads.k, [r[0] for r in ref], rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(leads.bloch, [r[1] for r in ref])
+            np.testing.assert_array_equal(leads.velocity, [r[2] for r in ref])
+            np.testing.assert_array_equal(leads.open_mask, [r[3] for r in ref])
+            assert np.all(np.abs(leads.bloch) <= 1.0 + 1e-15)
+            closed = ~leads.open_mask
+            assert np.all(np.abs(leads.bloch[closed]) <= 1.0)
+
+
+def test_lead_modes_band_edges_exact():
+    # dz = 0.5: x = cos(k dz) hits +1 at E1 = 1 for l = +-1 and -1 at E1 = 16
+    # for l = 0; both ties are evanescent with |e^{ik dz}| = 1
+    basis = op.ChannelBasis(l_max=1, radius=1.0)
+    bottom = op.lead_modes(1.0, basis, 0.5, include_vg=False)
+    np.testing.assert_array_equal(bottom.open_mask, [False, True, False])
+    np.testing.assert_array_equal(bottom.bloch[[0, 2]], [1.0, 1.0])
+    np.testing.assert_array_equal(bottom.k[[0, 2]], [0.0, 0.0])
+    np.testing.assert_array_equal(bottom.velocity[[0, 2]], [0.0, 0.0])
+    top = op.lead_modes(16.0, basis, 0.5, include_vg=False)
+    np.testing.assert_array_equal(top.open_mask, [True, False, True])
+    assert top.bloch[1] == -1.0
+    assert top.k[1] == np.pi / 0.5
+    assert top.velocity[1] == 0.0
 
 
 def test_2d_flat_box_spectrum():

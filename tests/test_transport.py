@@ -8,6 +8,7 @@ from qsurf import operator as op
 from qsurf import transport as tr
 from qsurf.errors import (
     ClosedChannelError,
+    NumericalError,
     ThresholdProximityWarning,
     UndefinedPolarizationError,
 )
@@ -386,6 +387,103 @@ def test_sweep_parallel_matches_serial_bitwise():
     np.testing.assert_array_equal(serial.sigma_total, parallel.sigma_total)
     np.testing.assert_array_equal(serial.p_lz, parallel.p_lz)
     np.testing.assert_array_equal(serial.sigma_modes, parallel.sigma_modes)
+
+
+def test_batched_smatrix_matches_block_thomas():
+    # forward-only corner recursion against the full block Thomas solve, on a
+    # grid from below the band bottom (no open channel) across the l = 1 and
+    # l = 2 thresholds
+    o = helical_operator(pitches=4.0)
+    e_rel = np.array([-0.3, 0.4, 0.97, 1.03, 1.9, 2.8, 3.96, 4.05, 4.3])
+    n_open = []
+    for e1 in e_rel + VG:
+        s = tr.rgf_smatrix(o, e1)
+        point, psi = tr._scattering_solution(o, e1)
+        idx = point.open_idx
+        ref = tr._boundary_smatrix(o, point, psi[0][idx], psi[-1][idx])
+        np.testing.assert_array_equal(s.open_modes, ref.open_modes)
+        for name in ("t", "r", "t_reverse", "r_reverse"):
+            np.testing.assert_allclose(
+                getattr(s, name), getattr(ref, name), rtol=0, atol=1e-12
+            )
+        n_open.append(s.n_open)
+    assert n_open == [0, 1, 1, 3, 3, 3, 3, 5, 5]
+
+
+def _point_columns(o, energies, pair=1, record_l=2):
+    cols = [
+        tr._point_observables(tr.rgf_smatrix(o, e1), pair, record_l)
+        for e1 in energies
+    ]
+    return {name: np.array([c[i] for c in cols]) for i, name in enumerate(tr._COLUMNS)}
+
+
+def test_sweep_results_independent_of_chunking():
+    o = helical_operator(pitches=4.0, l_max=4)
+    energies = np.linspace(-0.2, 4.2, 11) + VG
+    per_point = _point_columns(o, energies)
+    for workers in (1, 2, 3):
+        curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies, workers=workers))
+        assert curve.failures == []
+        for name in ("sigma_total", "sigma_modes", "p_lz"):
+            np.testing.assert_array_equal(getattr(curve, name), per_point[name])
+    solver = curve.meta["solver"]
+    assert solver["path"] == "rgf-batched"
+    assert solver["fallback_points"] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fault", ["singular_block", "self_energy"])
+def test_sweep_point_failure_is_isolated(monkeypatch, fault, workers):
+    # clean lead padding makes the first on-site block diagonal, so a forged
+    # self-energy can make that block exactly singular at one energy
+    o = helical_operator(pitches=4.0, l_max=4, lead_pad_pitches=0.5)
+    energies = np.linspace(0.4, 3.6, 9) + VG
+    bad = 5
+    clean = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies))
+    real_self_energy = tr.lead_self_energy
+
+    def faulty_self_energy(leads, dz):
+        if leads.e1 != energies[bad]:
+            return real_self_energy(leads, dz)
+        if fault == "self_energy":
+            raise NumericalError("forged self-energy failure")
+        return leads.e1 - np.diag(o.onsite[0])
+
+    monkeypatch.setattr(tr, "lead_self_energy", faulty_self_energy)
+    curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies, workers=workers))
+    assert [f["index"] for f in curve.failures] == [bad]
+    if fault == "singular_block":
+        assert "slice 0 inversion failed" in curve.failures[0]["error"]
+        assert curve.meta["solver"]["fallback_points"] > 1
+    ok = np.arange(energies.size) != bad
+    assert np.isnan(curve.sigma_total[bad])
+    for name in ("sigma_total", "sigma_modes", "p_lz", "unitarity", "flux_error"):
+        np.testing.assert_array_equal(
+            getattr(curve, name)[ok], getattr(clean, name)[ok]
+        )
+
+
+def test_rgf_smatrix_reports_singular_block(monkeypatch):
+    o = homogeneous_operator()
+    monkeypatch.setattr(
+        tr, "lead_self_energy", lambda leads, dz: leads.e1 - np.diag(o.onsite[0])
+    )
+    with pytest.raises(NumericalError, match="slice 0"):
+        tr.rgf_smatrix(o, 2.0)
+
+
+def test_sweep_energies_stay_inside_range():
+    # a threshold on the last point nudges it down instead of past e_max
+    grid = tr.sweep_energies(0.0, 1.0, 11, np.array([1.0]))
+    assert grid[-1] == pytest.approx(0.95, abs=1e-15)
+    assert grid.min() >= 0.0 and grid.max() <= 1.0
+    assert np.all(np.diff(grid) > 0)
+    # grids that stay inside keep the upward nudge, bit for bit
+    grid = tr.sweep_energies(0.0, 1.0, 11, np.array([0.5]))
+    expected = np.linspace(0.0, 1.0, 11)
+    expected[5] += 0.5 * 0.1
+    np.testing.assert_array_equal(grid, expected)
 
 
 def test_mode_cutoff_stability():
