@@ -131,35 +131,6 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def detect_plateaus(e_rel, sigma, tol: float = 0.05, min_points: int = 10):
-    """Intervals where sigma sits within tol of an integer level for at least
-    min_points consecutive grid points."""
-    plateaus = []
-    sigma = np.asarray(sigma)
-    finite = np.isfinite(sigma)
-    top = int(np.nanmax(sigma)) + 1 if np.any(finite) else 0
-    for level in range(0, top + 1):
-        mask = finite & (np.abs(sigma - level) < tol)
-        start = None
-        for i, flag in enumerate(mask):
-            if flag and start is None:
-                start = i
-            if (not flag or i == len(mask) - 1) and start is not None:
-                end = i if flag else i - 1
-                if end - start + 1 >= min_points:
-                    plateaus.append(
-                        {
-                            "level": level,
-                            "e1_rel_start": float(e_rel[start]),
-                            "e1_rel_end": float(e_rel[end]),
-                            "points": int(end - start + 1),
-                        }
-                    )
-                start = None
-    plateaus.sort(key=lambda p: p["e1_rel_start"])
-    return plateaus
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     setup = cfgmod.resolve(cfg)
@@ -212,7 +183,9 @@ def cmd_sweep(args) -> int:
             "sigma0": "e^2/h, spinless",
             "polarization_pair": cfg.sweep.pair,
         },
-        "plateaus": detect_plateaus(curve.energies_relative, curve.sigma_total),
+        "plateaus": transport.detect_plateaus(
+            curve.energies_relative, curve.sigma_total
+        ),
         "thresholds_relative": thresholds,
         "diagnostics": {
             "max_unitarity_residual": float(np.nanmax(curve.unitarity)),

@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .confinement import ConfinementProfile, TransverseWell, transverse_ground_energy
 from .errors import NumericalError, ResolutionError
-from .geometry import SurfaceChart, geometric_potential
+from .geometry import SurfaceChart, geometric_potential, metric
 
 _COUPLING_CLEAN_RTOL = 1e-14  # drop FFT round-off below this relative level
 
@@ -243,6 +243,19 @@ class CoupledChannelOperator:
     def lead_mode_set(self, e1: float) -> LeadModeSet:
         return lead_modes(e1, self.basis, self.dz, include_vg=self.include_vg)
 
+    def sparse(self) -> sp.csr_matrix:
+        """The operator as one CSR matrix with Dirichlet ends: the on-site
+        blocks on the block diagonal, hop on the +-n_modes diagonals."""
+        n, n_sl = self.n_modes, self.n_slices
+        size = n * n_sl
+        blocks = sp.bsr_matrix(
+            (self.onsite, np.arange(n_sl), np.arange(n_sl + 1)), shape=(size, size)
+        )
+        hopping = sp.diags([self.hop, self.hop], [-n, n], shape=(size, size))
+        h = (blocks + hopping).tocsr()
+        h.eliminate_zeros()
+        return h
+
 
 def _taper_weight(z: np.ndarray, length: float, taper: float) -> np.ndarray:
     """Cosine on/off ramp of the window potential; abrupt when taper == 0."""
@@ -392,24 +405,17 @@ def _validate_dz(dz, profile, e1_max, basis, well, include_vg):
 
 def closed_matrix(op: CoupledChannelOperator) -> np.ndarray:
     """Dense Hermitian matrix of the operator with Dirichlet ends."""
-    nmat = op.n_slices * op.n_modes
-    h = np.zeros((nmat, nmat), dtype=complex)
-    n = op.n_modes
-    hop = op.hop
-    for j in range(op.n_slices):
-        h[j * n : (j + 1) * n, j * n : (j + 1) * n] = op.onsite[j]
-        if j + 1 < op.n_slices:
-            blk = hop * np.eye(n)
-            h[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = blk
-            h[(j + 1) * n : (j + 2) * n, j * n : (j + 1) * n] = blk
-    return h
+    return op.sparse().toarray()
 
 
 def closed_eigenvalues(op: CoupledChannelOperator, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of the Dirichlet segment."""
-    h = closed_matrix(op)
-    vals = np.linalg.eigvalsh(h)
-    return vals[:k]
+    """Lowest k eigenvalues of the Dirichlet segment (shift-invert Lanczos,
+    shifted to the Gershgorin lower bound of the spectrum).  k must be
+    smaller than the matrix size minus one; larger k raises NumericalError."""
+    h = op.sparse()
+    diag = h.diagonal()
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    return lowest_eigenvalues_2d(h, k, sigma=float(np.min(diag.real - radius)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,20 +456,6 @@ def _axis_nodes(lo: float, hi: float, n: int, closure: str):
     return nodes, h
 
 
-def _metric_parts(chart: SurfaceChart, q1, q2):
-    from .geometry import _jacobian  # internal evaluator, shared with metric()
-
-    jac = _jacobian(chart, np.asarray(q1, float), np.asarray(q2, float))
-    g11 = np.einsum("...i,...i->...", jac[..., 0], jac[..., 0])
-    g12 = np.einsum("...i,...i->...", jac[..., 0], jac[..., 1])
-    g22 = np.einsum("...i,...i->...", jac[..., 1], jac[..., 1])
-    det = g11 * g22 - g12 * g12
-    if np.any(det <= 0.0):
-        raise NumericalError("metric degenerate at a stencil point")
-    sq = np.sqrt(det)
-    return g11, g12, g22, sq
-
-
 def assemble_2d(
     chart: SurfaceChart,
     profile: Optional[ConfinementProfile] = None,
@@ -488,9 +480,18 @@ def assemble_2d(
     q1, h1 = _axis_nodes(a1, b1, n1, bc[0])
     q2, h2 = _axis_nodes(a2, b2, n2, bc[1])
 
+    def sqrt_det(g):
+        return np.sqrt(g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 0, 1])
+
+    def flux_coefficients(a, b):
+        """sqrt(g) g^{11}, sqrt(g) g^{12} and sqrt(g) g^{22} at the points (a, b)."""
+        g = metric(chart, (a, b))
+        sq = sqrt_det(g)
+        return g[..., 1, 1] / sq, -g[..., 0, 1] / sq, g[..., 0, 0] / sq
+
     qq1, qq2 = np.meshgrid(q1, q2, indexing="ij")
-    g11_n, g12_n, g22_n, sq_n = _metric_parts(chart, qq1, qq2)
-    mass = (sq_n * h1 * h2).ravel()
+    g_n = metric(chart, (qq1, qq2))
+    mass = (sqrt_det(g_n) * h1 * h2).ravel()
 
     def node_id(i, j):
         return i * n2 + j
@@ -514,8 +515,7 @@ def assemble_2d(
         right = np.concatenate([right, [0]])
         faces1 = np.concatenate([faces1, [q1[-1] + 0.5 * h1]])
     f1, f2 = np.meshgrid(faces1, q2, indexing="ij")
-    _, _, g22_f, sq_f = _metric_parts(chart, f1, f2)
-    w = (g22_f / sq_f) * (h2 / h1)  # sqrt(g) g^{11} * h2/h1
+    w = flux_coefficients(f1, f2)[0] * (h2 / h1)  # sqrt(g) g^{11} * h2/h1
     p = node_id(left[:, None], jj[None, :])
     q = node_id(right[:, None], jj[None, :])
     add(p, p, w)
@@ -524,8 +524,7 @@ def assemble_2d(
     add(q, p, -w)
     if bc[0] == "dirichlet":
         for i_node, face in ((0, a1 + 0.5 * h1), (n1 - 1, b1 - 0.5 * h1)):
-            _, _, g22_w, sq_w = _metric_parts(chart, np.full(n2, face), q2)
-            ww = (g22_w / sq_w) * (h2 / h1)
+            ww = flux_coefficients(np.full(n2, face), q2)[0] * (h2 / h1)
             pw = node_id(np.full(n2, i_node), jj)
             add(pw, pw, ww)
 
@@ -538,8 +537,7 @@ def assemble_2d(
         hi = np.concatenate([hi, [0]])
         faces2 = np.concatenate([faces2, [q2[-1] + 0.5 * h2]])
     f1, f2 = np.meshgrid(q1, faces2, indexing="ij")
-    g11_f, _, _, sq_f = _metric_parts(chart, f1, f2)
-    w = (g11_f / sq_f) * (h1 / h2)  # sqrt(g) g^{22} * h1/h2
+    w = flux_coefficients(f1, f2)[2] * (h1 / h2)  # sqrt(g) g^{22} * h1/h2
     p = node_id(ii[:, None], lo[None, :])
     q = node_id(ii[:, None], hi[None, :])
     add(p, p, w)
@@ -548,13 +546,14 @@ def assemble_2d(
     add(q, p, -w)
     if bc[1] == "dirichlet":
         for j_node, face in ((0, a2 + 0.5 * h2), (n2 - 1, b2 - 0.5 * h2)):
-            g11_w, _, _, sq_w = _metric_parts(chart, q1, np.full(n1, face))
-            ww = (g11_w / sq_w) * (h1 / h2)
+            ww = flux_coefficients(q1, np.full(n1, face))[2] * (h1 / h2)
             pw = node_id(ii, np.full(n1, j_node))
             add(pw, pw, ww)
 
     # mixed term (9-point) when the metric is non-diagonal
-    if np.max(np.abs(g12_n)) > 1e-14 * max(1.0, float(np.max(np.abs(g11_n)))):
+    if np.max(np.abs(g_n[..., 0, 1])) > 1e-14 * max(
+        1.0, float(np.max(np.abs(g_n[..., 0, 0])))
+    ):
         li = ii[:-1]
         ri = ii[1:]
         if bc[0] == "periodic":
@@ -568,8 +567,7 @@ def assemble_2d(
         c1 = q1[li] + 0.5 * h1
         c2 = q2[lj] + 0.5 * h2
         cc1, cc2 = np.meshgrid(c1, c2, indexing="ij")
-        _, g12_c, _, sq_c = _metric_parts(chart, cc1, cc2)
-        wc = -(g12_c / sq_c) * (h1 * h2)  # sqrt(g) g^{12} * h1 h2
+        wc = flux_coefficients(cc1, cc2)[1] * (h1 * h2)  # sqrt(g) g^{12} * h1 h2
         p00 = node_id(li[:, None], lj[None, :])
         p10 = node_id(ri[:, None], lj[None, :])
         p01 = node_id(li[:, None], hj[None, :])
@@ -613,17 +611,15 @@ def assemble_2d(
     return h, grid
 
 
-def lowest_eigenvalues_2d(
-    h: sp.csr_matrix, k: int, sigma: Optional[float] = None
-) -> np.ndarray:
-    """Lowest k eigenvalues of the sparse 2D operator (shift-invert Lanczos).
+def lowest_eigenvalues_2d(h: sp.csr_matrix, k: int, sigma: float) -> np.ndarray:
+    """Lowest k eigenvalues of a sparse Hermitian operator (shift-invert
+    Lanczos).
 
-    ``sigma`` must sit below the spectrum; pass ``grid.v_min`` minus a margin
-    (the kinetic quadratic form is positive semidefinite, so the potential
-    minimum bounds the spectrum from below).
+    Shift-invert returns the eigenvalues nearest to ``sigma``, so ``sigma``
+    must sit below the spectrum.  For the 2D operator pass ``grid.v_min``
+    minus a margin (the kinetic quadratic form is positive semidefinite, so
+    the potential minimum bounds the spectrum from below).
     """
-    if sigma is None:
-        sigma = -1.0
     try:
         vals = spla.eigsh(h, k=k, sigma=sigma, which="LM", return_eigenvectors=False)
     except Exception as exc:  # factorization or convergence failure

@@ -58,15 +58,7 @@ def dense_smatrix(op: operator.CoupledChannelOperator, e1: float):
     n_sl, n = op.n_slices, op.n_modes
     nn = n_sl * n
 
-    m = np.zeros((nn, nn), dtype=complex)
-    for j in range(n_sl):
-        m[j * n : (j + 1) * n, j * n : (j + 1) * n] = (
-            e1 * np.eye(n) - op.onsite[j]
-        )
-        if j + 1 < n_sl:
-            blk = -op.hop * np.eye(n)
-            m[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = blk
-            m[(j + 1) * n : (j + 2) * n, j * n : (j + 1) * n] = blk
+    m = e1 * np.eye(nn) - op.sparse().toarray()
     sigma = transport.lead_self_energy(leads, op.dz)
     m[:n, :n] -= np.diag(sigma)
     m[-n:, -n:] -= np.diag(sigma)

@@ -26,8 +26,10 @@ self-energy):
 
   and g_N = G_NN.  Memory does not grow with the slice count, and every
   energy's result is independent of the stack it was solved in;
-* density maps need psi on every slice and use the block Thomas solve (the
-  same forward sweep followed by the Green's-function backsubstitution).
+* density maps need psi on every slice: they solve (E - H - Sigma) psi = Q
+  in one sparse LU factorisation of the whole device matrix, built from
+  :meth:`~qsurf.operator.CoupledChannelOperator.sparse` with Sigma added on
+  the two boundary slices.
 
 Derivation of the injection and extraction formulas, in the conventions of
 :mod:`qsurf.operator` (hopping t = -1/dz^2, lead on-site 2/dz^2 + offset_l):
@@ -55,6 +57,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import (
     ClosedChannelError,
@@ -173,38 +177,8 @@ def _injection_amplitudes(point: _Point, dz: float) -> np.ndarray:
     return 1j * (leads.velocity[open_idx] / dz) * leads.bloch[open_idx]
 
 
-def _solve_block_tridiag(d_blocks: np.ndarray, b: float, rhs: np.ndarray):
-    """Solve the block-tridiagonal system with diagonal blocks ``d_blocks`` and
-    constant scalar off-diagonal blocks ``b * I`` (both sides).
-
-    Forward sweep builds the left-connected inverses (the RGF recursion);
-    the backward sweep is the Green's-function backsubstitution that yields
-    the scattering state on every slice.
-    """
-    n_sl = d_blocks.shape[0]
-    g = np.empty_like(d_blocks)
-    y = np.empty_like(rhs)
-    try:
-        g[0] = np.linalg.inv(d_blocks[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"slice 0 inversion failed: {exc}") from exc
-    y[0] = g[0] @ rhs[0]
-    b2 = b * b
-    for n in range(1, n_sl):
-        try:
-            g[n] = np.linalg.inv(d_blocks[n] - b2 * g[n - 1])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"slice {n} inversion failed: {exc}") from exc
-        y[n] = g[n] @ (rhs[n] - b * y[n - 1])
-    x = np.empty_like(rhs)
-    x[n_sl - 1] = y[n_sl - 1]
-    for n in range(n_sl - 2, -1, -1):
-        x[n] = y[n] - b * (g[n] @ x[n + 1])
-    return x
-
-
 def _scattering_solution(op: CoupledChannelOperator, e1: float):
-    """Scattering state on every slice by the block Thomas solve, for
+    """Scattering state on every slice by one sparse direct solve, for
     unit-amplitude injection in every open channel from both sides.
 
     Returns (point, psi) with psi of shape (n_slices, n_modes, 2*n_open);
@@ -214,24 +188,22 @@ def _scattering_solution(op: CoupledChannelOperator, e1: float):
     point = _prepare(op, e1)
     open_idx = point.open_idx
     n_sl, n = op.n_slices, op.n_modes
-
-    d_blocks = -op.onsite.copy()
-    idx = np.arange(n)
-    d_blocks[:, idx, idx] += e1
-    d_blocks[0, idx, idx] -= point.sigma
-    d_blocks[n_sl - 1, idx, idx] -= point.sigma
-
     n_open = open_idx.size
     if n_open == 0:
         return point, np.zeros((n_sl, n, 0), dtype=complex)
 
-    rhs = np.zeros((n_sl, n, 2 * n_open), dtype=complex)
+    diag = np.full(n_sl * n, e1, dtype=complex)
+    diag[:n] -= point.sigma
+    diag[-n:] -= point.sigma
+    rhs = np.zeros((n_sl * n, 2 * n_open), dtype=complex)
     amp = _injection_amplitudes(point, op.dz)
-    rhs[0, open_idx, np.arange(n_open)] = amp
-    rhs[n_sl - 1, open_idx, n_open + np.arange(n_open)] = amp
-
-    b = -op.hop  # off-diagonal block of (E - H) is +1/dz^2
-    return point, _solve_block_tridiag(d_blocks, b, rhs)
+    rhs[open_idx, np.arange(n_open)] = amp
+    rhs[(n_sl - 1) * n + open_idx, n_open + np.arange(n_open)] = amp
+    try:
+        lu = splu((sp.diags(diag) - op.sparse()).tocsc())
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse factorisation failed: {exc}") from exc
+    return point, lu.solve(rhs).reshape(n_sl, n, 2 * n_open)
 
 
 def _corner_recursion(op: CoupledChannelOperator, points: list, stats: Counter):
@@ -396,7 +368,7 @@ def scattering_density(
 ) -> DensityMap:
     """Scattering wavefunction density for one incident open mode.
 
-    The channel column is reconstructed on every slice by the block Thomas
+    The channel column is reconstructed on every slice by the sparse direct
     solve and synthesized on a uniform theta grid.
     """
     point, psi = _scattering_solution(op, e1)
@@ -608,6 +580,30 @@ def energy_sweep(plan: SweepPlan) -> ConductanceCurve:
         },
         **columns,
     )
+
+
+def detect_plateaus(e_rel, sigma, tol: float = 0.05, min_points: int = 10):
+    """Intervals where sigma sits within tol of an integer level for at least
+    min_points consecutive grid points; NaN points break a run."""
+    sigma = np.asarray(sigma, dtype=float)
+    finite = np.isfinite(sigma)
+    top = int(np.nanmax(sigma)) + 1 if np.any(finite) else 0
+    plateaus = []
+    for level in range(top + 1):
+        mask = finite & (np.abs(sigma - level) < tol)
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], mask, [0]])))
+        for start, stop in zip(edges[::2], edges[1::2]):
+            if stop - start >= min_points:
+                plateaus.append(
+                    {
+                        "level": level,
+                        "e1_rel_start": float(e_rel[start]),
+                        "e1_rel_end": float(e_rel[stop - 1]),
+                        "points": int(stop - start),
+                    }
+                )
+    plateaus.sort(key=lambda p: p["e1_rel_start"])
+    return plateaus
 
 
 def sweep_energies(

@@ -7,6 +7,7 @@ import pytest
 
 from qsurf import cli
 from qsurf import config as cfgmod
+from qsurf import transport
 from qsurf.errors import ConfigError
 
 
@@ -290,6 +291,20 @@ def test_cmd_density_closed_channel_names_threshold(tmp_path, capsys):
     )
     assert rc == 1
     assert "threshold" in capsys.readouterr().err
+
+
+def test_cmd_density_factorisation_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def failing_splu(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(transport, "splu", failing_splu)
+    cfg = paper_config()
+    cfg.profile.kind = "homogeneous"
+    cfg.numerics.length = 2.0
+    path = write_config(tmp_path, cfg)
+    argv = ["density", "--config", str(path), "--out", str(tmp_path)]
+    assert cli.main(argv + ["--e1", "2.0", "--mode", "0"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_cmd_spectrum_sphere(tmp_path):

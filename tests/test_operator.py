@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.linalg import block_diag
 
 from qsurf import confinement as cf
 from qsurf import geometry as geo
@@ -133,6 +135,21 @@ def test_onsite_blocks_hermitian():
     assert herm < 1e-13
     full = op.closed_matrix(o)
     assert np.max(np.abs(full - full.conj().T)) < 1e-13
+
+
+def test_sparse_matrix_layout():
+    # on-site blocks on the block diagonal, hop * I between neighbouring
+    # slices, nothing else
+    basis = op.ChannelBasis(l_max=3, radius=1.0)
+    o = op.assemble_coupled_channel(
+        helical(), WELL, basis, length=1.0, dz=0.05, lead_pad=0.2
+    )
+    h = o.sparse()
+    assert h.format == "csr"
+    assert abs(h - h.conj().T).max() == 0.0
+    neighbours = np.eye(o.n_slices, k=1) + np.eye(o.n_slices, k=-1)
+    expected = block_diag(*o.onsite) + np.kron(neighbours, o.hop * np.eye(o.n_modes))
+    np.testing.assert_array_equal(h.toarray(), expected)
 
 
 def test_lead_padding_slices_are_clean():
@@ -283,6 +300,49 @@ def test_lead_modes_band_edges_exact():
     assert top.bloch[1] == -1.0
     assert top.k[1] == np.pi / 0.5
     assert top.velocity[1] == 0.0
+
+
+def test_lowest_eigenvalues_need_a_shift_below_the_spectrum():
+    # shift-invert returns the eigenvalues nearest sigma: the former default
+    # sigma = -1 misses the bottom of a spectrum that reaches below -1
+    h = sp.diags([-5.0, -4.0, -3.0, -2.2, -1.3, -0.6, 0.7, 1.5, 2.0, 3.0, 4.0, 5.0])
+    h = h.tocsr()
+    np.testing.assert_allclose(
+        op.lowest_eigenvalues_2d(h, 3, sigma=-6.0), [-5.0, -4.0, -3.0]
+    )
+    np.testing.assert_allclose(
+        op.lowest_eigenvalues_2d(h, 3, sigma=-1.0), [-2.2, -1.3, -0.6]
+    )
+    with pytest.raises(TypeError):
+        op.lowest_eigenvalues_2d(h, 3)
+
+
+@pytest.mark.parametrize("k", [3, 4, 9])
+def test_closed_eigenvalues_homogeneous_lattice_formula(k):
+    # decoupled channels: E = (l/r)^2 + V_g + (4/h^2) sin^2(j pi / (2(n_z+1))).
+    # l = +-1, +-2, +-3 are degenerate pairs; k = 4 and k = 9 cut through one
+    n_z, length = 60, 2.0
+    basis = op.ChannelBasis(l_max=3, radius=1.0)
+    o = op.assemble_coupled_channel(
+        cf.homogeneous_profile(), WELL, basis, length=length, n_z=n_z, closed=True
+    )
+    h = length / (n_z + 1)
+    j = np.arange(1, n_z + 1)
+    lattice = (4.0 / h**2) * np.sin(j * np.pi / (2 * (n_z + 1))) ** 2
+    offsets = (basis.modes / basis.radius) ** 2 + basis.geometric_potential
+    exact = np.sort((offsets[:, None] + lattice[None, :]).ravel())[:k]
+    np.testing.assert_allclose(op.closed_eigenvalues(o, k), exact, rtol=1e-10)
+
+
+def test_closed_eigenvalues_match_dense():
+    # the lowest eigenvalue sits near 2.4, well away from zero, so the
+    # relative tolerance is not eaten by the dense solver's round-off
+    basis = op.ChannelBasis(l_max=4, radius=1.0)
+    o = op.assemble_coupled_channel(
+        helical(), WELL, basis, length=1.2, n_z=30, closed=True
+    )
+    dense = np.linalg.eigvalsh(op.closed_matrix(o))[:8]
+    np.testing.assert_allclose(op.closed_eigenvalues(o, 8), dense, rtol=1e-10)
 
 
 def test_2d_flat_box_spectrum():

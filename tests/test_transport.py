@@ -279,6 +279,16 @@ def test_density_closed_channel_raises_with_threshold():
         tr.scattering_density(o, 0.5, l_incident=1)
 
 
+def test_density_factorisation_failure_raises_numerical_error(monkeypatch):
+    def failing_splu(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(tr, "splu", failing_splu)
+    o = homogeneous_operator(length=2.0)
+    with pytest.raises(NumericalError, match="exactly singular"):
+        tr.scattering_density(o, 2.0, l_incident=1)
+
+
 def test_density_mode_contrast_and_ditch_correlation():
     o = helical_operator(lead_pad_pitches=4.0)
     prof = cf.helical_profile(0.1, 8.0, 0.5, radius=1.0, ditch_count=2)
@@ -389,10 +399,10 @@ def test_sweep_parallel_matches_serial_bitwise():
     np.testing.assert_array_equal(serial.sigma_modes, parallel.sigma_modes)
 
 
-def test_batched_smatrix_matches_block_thomas():
-    # forward-only corner recursion against the full block Thomas solve, on a
-    # grid from below the band bottom (no open channel) across the l = 1 and
-    # l = 2 thresholds
+def test_batched_smatrix_matches_sparse_solve():
+    # forward-only corner recursion against the sparse direct solve of the
+    # whole device, on a grid from below the band bottom (no open channel)
+    # across the l = 1 and l = 2 thresholds
     o = helical_operator(pitches=4.0)
     e_rel = np.array([-0.3, 0.4, 0.97, 1.03, 1.9, 2.8, 3.96, 4.05, 4.3])
     n_open = []
@@ -471,6 +481,33 @@ def test_rgf_smatrix_reports_singular_block(monkeypatch):
     )
     with pytest.raises(NumericalError, match="slice 0"):
         tr.rgf_smatrix(o, 2.0)
+
+
+def test_plateau_running_to_the_last_point():
+    e_rel = np.arange(12) * 0.1
+    sigma = np.array([0.5, 0.6] + [2.01] * 10)
+    assert tr.detect_plateaus(e_rel, sigma, min_points=10) == [
+        {"level": 2, "e1_rel_start": e_rel[2], "e1_rel_end": e_rel[-1], "points": 10}
+    ]
+
+
+def test_plateau_split_by_nan_point():
+    sigma = np.full(21, 1.0)
+    sigma[10] = np.nan
+    e_rel = np.arange(21) * 0.1
+    plateaus = tr.detect_plateaus(e_rel, sigma, min_points=10)
+    assert [(p["e1_rel_start"], p["points"]) for p in plateaus] == [
+        (0.0, 10),
+        (e_rel[11], 10),
+    ]
+    assert tr.detect_plateaus(e_rel, sigma, min_points=11) == []
+
+
+def test_plateau_one_point_short_is_dropped():
+    e_rel = np.arange(13) * 0.1
+    sigma = np.array([0.5] + [3.0] * 9 + [0.5] * 3)
+    assert tr.detect_plateaus(e_rel, sigma, min_points=10) == []
+    assert [p["points"] for p in tr.detect_plateaus(e_rel, sigma, min_points=9)] == [9]
 
 
 def test_sweep_energies_stay_inside_range():
