@@ -153,7 +153,8 @@ def cmd_sweep(args) -> int:
     header = (
         ["E1_raw[e0]", "E1_rel[e0]", "sigma_total[sigma0]"]
         + pair_cols
-        + ["P_Lz", "n_open", "unitarity_residual", "threshold_flag"]
+        + ["P_Lz", "n_open", "unitarity_residual", "reciprocity_residual"]
+        + ["threshold_flag"]
     )
     rows = []
     for i in range(curve.energies.size):
@@ -164,6 +165,7 @@ def cmd_sweep(args) -> int:
                 curve.p_lz[i],
                 float(curve.n_open[i]),
                 curve.unitarity[i],
+                curve.reciprocity[i],
                 float(curve.threshold_flags[i]),
             ]
         )
@@ -189,6 +191,7 @@ def cmd_sweep(args) -> int:
         "thresholds_relative": thresholds,
         "diagnostics": {
             "max_unitarity_residual": float(np.nanmax(curve.unitarity)),
+            "max_reciprocity_residual": float(np.nanmax(curve.reciprocity)),
             "max_flux_error": float(np.nanmax(curve.flux_error)),
             "n_slices": int(op.n_slices),
             "dz": float(op.dz),

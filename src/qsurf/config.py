@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -339,6 +340,11 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
 
     if num.workers < 1:
         raise ConfigError("numerics: workers must be >= 1")
+    cpus = os.cpu_count() or 1
+    if num.workers > cpus:
+        raise ConfigError(
+            f"numerics: workers = {num.workers} exceeds the {cpus} CPUs of this machine"
+        )
     if sw.pair < 1:
         raise ConfigError("sweep: pair must be a positive mode index")
 

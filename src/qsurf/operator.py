@@ -28,6 +28,7 @@ from .errors import NumericalError, ResolutionError
 from .geometry import SurfaceChart, geometric_potential, metric
 
 _COUPLING_CLEAN_RTOL = 1e-14  # drop FFT round-off below this relative level
+_SCREW_RTOL = 1e-12  # rotated blocks of a screw run agree to this, relative
 
 MAX_K_DZ = 0.2  # shortest-wavelength resolution requirement
 MIN_POINTS_PER_PITCH = 20
@@ -206,6 +207,27 @@ def fourier_couplings(
 
 
 @dataclass(frozen=True)
+class ScrewRun:
+    """Screw symmetry of a helical window: slices ``start..stop-1`` of an
+    open operator are one block up to the diagonal gauge
+    W_j = diag(exp(-i l q z_j)).
+
+    Under psi_j = W_j phi_j every on-site block of the run becomes the same
+    matrix W_j^dag onsite[j] W_j, and the hopping between neighbours becomes
+    the constant phase hop * diag(exp(-i l q dz)).  The run excludes the first
+    and last slice of the device, which carry the lead self-energies.
+    """
+
+    q: float
+    start: int
+    stop: int
+
+    def gauge(self, modes: np.ndarray, z) -> np.ndarray:
+        """Diagonal of W at height z (a scalar) or at each height of z."""
+        return np.exp(-1j * self.q * np.multiply.outer(z, modes))
+
+
+@dataclass(frozen=True)
 class CoupledChannelOperator:
     """Block-tridiagonal effective Hamiltonian on the cylinder.
 
@@ -214,7 +236,8 @@ class CoupledChannelOperator:
     (s-1) E0 inside the scattering window.  Hopping blocks are hop * identity
     with hop = -1/dz^2.  Slices outside the window (lead padding) are diagonal
     and z-independent, matching the semi-infinite leads, whose on-site
-    diagonal is 2/dz^2 + lead_offsets.
+    diagonal is 2/dz^2 + lead_offsets.  ``screw`` is the screw run of a
+    helical window (None when there is none).
     """
 
     basis: ChannelBasis
@@ -227,6 +250,7 @@ class CoupledChannelOperator:
     n_pad: int
     style: str  # "open" (transport) or "closed" (Dirichlet segment)
     meta: dict = field(default_factory=dict)
+    screw: Optional[ScrewRun] = None
 
     @property
     def hop(self) -> float:
@@ -255,6 +279,35 @@ class CoupledChannelOperator:
         h = (blocks + hopping).tocsr()
         h.eliminate_zeros()
         return h
+
+
+def _screw_run(
+    profile: ConfinementProfile,
+    modes: np.ndarray,
+    z_nodes: np.ndarray,
+    weights: np.ndarray,
+    onsite: np.ndarray,
+) -> Optional[ScrewRun]:
+    """The screw run of a helical window, or None where there is none.
+
+    The run covers the slices at full taper weight, without the device's
+    first and last slice.  It is kept only if it spans at least two slices
+    and every rotated block equals the first to _SCREW_RTOL * max|onsite|.
+    """
+    kz = profile.params.get("z_wavenumber")
+    full = np.flatnonzero(weights == 1.0)
+    if kz is None or full.size == 0:
+        return None
+    start = max(int(full[0]), 1)
+    stop = min(int(full[-1]) + 1, onsite.shape[0] - 1)
+    if stop - start < 2:
+        return None
+    run = ScrewRun(q=kz / profile.params["m_d"], start=start, stop=stop)
+    w = run.gauge(modes, z_nodes[start:stop])
+    rotated = w.conj()[:, :, None] * onsite[start:stop] * w[:, None, :]
+    if np.max(np.abs(rotated - rotated[0])) > _SCREW_RTOL * np.max(np.abs(onsite)):
+        return None
+    return run
 
 
 def _taper_weight(z: np.ndarray, length: float, taper: float) -> np.ndarray:
@@ -322,6 +375,10 @@ def assemble_coupled_channel(
     With ``closed=True`` the operator describes a Dirichlet segment: interior
     nodes z = j*h, j = 1..n_z, h = length/(n_z+1), no padding, potential on
     the whole segment.
+
+    An open operator of a helical profile records its screw run
+    (:class:`ScrewRun`) in ``screw``; it is None for other profiles, for
+    closed segments, and when fewer than two slices sit at full weight.
     """
     if length <= 0.0:
         raise ValueError("window length must be positive")
@@ -353,6 +410,7 @@ def assemble_coupled_channel(
     idx = np.arange(n)
     onsite[:, idx, idx] = kinetic + lead_offsets[None, :]
 
+    screw = None
     if profile.kind != "homogeneous":
         if closed:
             weights = np.ones_like(z_nodes)
@@ -362,6 +420,8 @@ def assemble_coupled_channel(
         if np.any(active):
             v = fourier_couplings(profile, well, basis, z_nodes[active], n_theta)
             onsite[active] += weights[active, None, None] * v
+        if not closed:
+            screw = _screw_run(profile, basis.modes, z_nodes, weights, onsite)
 
     return CoupledChannelOperator(
         basis=basis,
@@ -379,6 +439,7 @@ def assemble_coupled_channel(
             "m_d": profile.theta_harmonic,
             "epsilon": profile.epsilon,
         },
+        screw=screw,
     )
 
 

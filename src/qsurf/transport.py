@@ -15,9 +15,10 @@ self-energy):
   the corner blocks G_11, G_N1, G_1N, G_NN of the retarded Green's function.
   A forward-only recursive Green's function (RGF) sweep carries them slice by
   slice for a whole stack of energies at once; energies with the same open
-  channels share a stack.  With D_n the diagonal block of (E - H - Sigma),
-  b = 1/dz^2 the off-diagonal block, g_n the left-connected Green's function
-  of slices 1..n and Q the injection source on the first slice:
+  channels share a stack, solved in blocks of at most 32 energies.  With D_n
+  the diagonal block of (E - H - Sigma), b = 1/dz^2 the off-diagonal block,
+  g_n the left-connected Green's function of slices 1..n and Q the injection
+  source on the first slice:
 
       g_n    = (D_n - b^2 g_{n-1})^{-1}
       G_n1 Q = -b g_n G_{n-1,1} Q
@@ -26,6 +27,30 @@ self-energy):
 
   and g_N = G_NN.  Memory does not grow with the slice count, and every
   energy's result is independent of the stack it was solved in;
+* the helical window is invariant under a screw motion.  In the gauge
+  psi_j = W_j phi_j, W_j = diag(exp(-i l q z_j)) with q = omega*kappa/m_d,
+  every on-site block at full taper weight becomes one matrix A and the
+  hopping becomes T = b diag(exp(-i l q dz)).  The operator records this run
+  of slices (:class:`~qsurf.operator.ScrewRun`), and sweeps fold it into a
+  few segment-doubling steps instead of one step per slice.  A segment is
+  described by the four corner blocks of its *dressed* Green's function
+  (E - H_seg + i gamma (P_first + P_last))^{-1}, gamma = 0.03/dz^2; the
+  dressing keeps every segment away from its real eigenvalues, where bare
+  doubling of an isolated segment loses accuracy.  Two segments A|B join
+  through one 2n x 2n inversion: with J = diag(Y^A_NN, Y^B_11) and
+  Delta = [[-i gamma_A, T], [T^dag, -i gamma_B]], K = Delta (I + J Delta)^{-1}
+  and
+
+      G_11 = Y^A_11 - Y^A_1N K_AA Y^A_N1     G_1N = -Y^A_1N K_AB Y^B_1N
+      G_NN = Y^B_NN - Y^B_N1 K_BB Y^B_1N     G_N1 = -Y^B_N1 K_BA Y^A_N1
+
+  A run of N slices takes floor(log2 N) squarings and popcount(N) - 1 joins
+  of the one-slice cell (E - A + 2 i gamma)^{-1}.  Its corners are rotated
+  back with W, joined to the left-connected slices (gamma_A = 0, T = b),
+  undressed at the right end, and the slice recursion carries on after the
+  run.  The cost per energy no longer grows with the length of the run;
+* :func:`rgf_smatrix` runs the explicit recursion over every slice, with no
+  fold: it is the reference the folded sweep is tested against;
 * density maps need psi on every slice: they solve (E - H - Sigma) psi = Q
   in one sparse LU factorisation of the whole device matrix, built from
   :meth:`~qsurf.operator.CoupledChannelOperator.sparse` with Sigma added on
@@ -53,7 +78,7 @@ import functools
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -69,6 +94,8 @@ from .errors import (
 from .operator import CoupledChannelOperator, LeadModeSet
 
 THRESHOLD_ATOL = 1e-9
+_DRESSING = 0.03  # i gamma on the end slices of folded segments, gamma in 1/dz^2
+_ENERGY_BLOCK = 32  # energies per corner recursion; bounds the work arrays
 
 
 def lead_self_energy(leads: LeadModeSet, dz: float) -> np.ndarray:
@@ -133,6 +160,14 @@ class SMatrix:
             np.abs(self.t_reverse) ** 2 + np.abs(self.r_reverse) ** 2, axis=0
         )
         return float(np.max(np.abs(np.concatenate([sums_l, sums_r]) - 1.0)))
+
+    def reciprocity_residual(self) -> float:
+        """Max |t[l_out, l_in] - t_reverse[-l_in, -l_out]| (time reversal of a
+        Hamiltonian that is real in (theta, z)).  Open modes come in +-l
+        pairs in ascending order, so -l sits at the mirrored index."""
+        if self.n_open == 0:
+            return 0.0
+        return float(np.max(np.abs(self.t - self.t_reverse[::-1, ::-1].T)))
 
     def mode_index(self, l: int) -> int:
         hits = np.nonzero(self.open_modes == l)[0]
@@ -206,23 +241,123 @@ def _scattering_solution(op: CoupledChannelOperator, e1: float):
     return point, lu.solve(rhs).reshape(n_sl, n, 2 * n_open)
 
 
+class _Corners(NamedTuple):
+    """Corner blocks G_11, G_1N, G_N1, G_NN of a segment's Green's function,
+    each stacked over energies; G_11, G_1N and G_N1 may be restricted to the
+    open channels on the first slice."""
+
+    g11: np.ndarray
+    g1n: np.ndarray
+    gn1: np.ndarray
+    gnn: np.ndarray
+
+
+def _inv(m: np.ndarray, where: str, stats: Counter) -> np.ndarray:
+    stats["inversions"] += 1
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{where} inversion failed: {exc}") from exc
+
+
+def _join(
+    sa: _Corners, sb: _Corners, gamma_a: float, gamma_b: float, t, stats: Counter
+) -> _Corners:
+    """Corners of the segment A|B, with diag(t) coupling the last slice of A
+    to the first slice of B, and the dressings i gamma_a, i gamma_b of the two
+    joined ends removed (one 2n x 2n inversion per energy).
+
+    K = Delta (I + J Delta)^{-1} is formed blockwise: with a diagonal hopping
+    every product with Delta is a row or column scaling.
+    """
+    n = t.size
+    m = np.empty(sb.gnn.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    m[..., :n, :n] = -1j * gamma_a * sa.gnn
+    m[..., :n, n:] = sa.gnn * t
+    m[..., n:, :n] = sb.g11 * t.conj()
+    m[..., n:, n:] = -1j * gamma_b * sb.g11
+    m[..., np.arange(2 * n), np.arange(2 * n)] += 1.0
+    x = _inv(m, "segment join", stats)
+    k_a = -1j * gamma_a * x[..., :n, :] + t[:, None] * x[..., n:, :]
+    k_b = t.conj()[:, None] * x[..., :n, :] - 1j * gamma_b * x[..., n:, :]
+    return _Corners(
+        sa.g11 - sa.g1n @ k_a[..., :n] @ sa.gn1,
+        -(sa.g1n @ k_a[..., n:] @ sb.g1n),
+        -(sb.gn1 @ k_b[..., :n] @ sa.gn1),
+        sb.gnn - sb.gn1 @ k_b[..., n:] @ sb.g1n,
+    )
+
+
+def _screw_segment(op: CoupledChannelOperator, e_eye, stats: Counter) -> _Corners:
+    """Corners of the dressed screw run in the lab frame, built by segment
+    doubling in the screw gauge (see the module docstring)."""
+    run, modes, b = op.screw, op.basis.modes, -op.hop
+    gamma = _DRESSING * b
+    w_first = run.gauge(modes, op.z_nodes[run.start])
+    w_last = run.gauge(modes, op.z_nodes[run.stop - 1])
+    cell = w_first.conj()[:, None] * op.onsite[run.start] * w_first
+    t = b * run.gauge(modes, op.dz)
+    y = _inv(e_eye - cell + 2j * gamma * np.eye(modes.size), "screw cell", stats)
+    power = _Corners(y, y, y, y)
+    segment = None
+    n_run = run.stop - run.start
+    for bit in range(n_run.bit_length()):
+        if bit:
+            power = _join(power, power, gamma, gamma, t, stats)
+        if n_run >> bit & 1:
+            segment = (
+                power if segment is None
+                else _join(segment, power, gamma, gamma, t, stats)
+            )
+    return _Corners(
+        w_first[:, None] * segment.g11 * w_first.conj(),
+        w_first[:, None] * segment.g1n * w_last.conj(),
+        w_last[:, None] * segment.gn1 * w_first.conj(),
+        w_last[:, None] * segment.gnn * w_last.conj(),
+    )
+
+
+def _attach_screw_run(
+    op: CoupledChannelOperator, left: _Corners, e_eye, stats: Counter
+) -> _Corners:
+    """Extend the left-connected corners over the screw run: join the dressed
+    run to them, then remove the dressing i gamma from its last slice."""
+    b = -op.hop
+    gamma = _DRESSING * b
+    t = np.full(op.n_modes, b, dtype=complex)
+    c = _join(left, _screw_segment(op, e_eye, stats), 0.0, gamma, t, stats)
+    u = _inv(np.eye(op.n_modes) - 1j * gamma * c.gnn, "screw run end", stats)
+    return _Corners(
+        c.g11 + 1j * gamma * (c.g1n @ u @ c.gn1), c.g1n @ u, u @ c.gn1, u @ c.gnn
+    )
+
+
 def _corner_recursion(op: CoupledChannelOperator, points: list, stats: Counter):
     """Boundary-slice scattering states for a stack of energies that share one
     set of open channels.
 
     Runs the forward-only corner recursion of the module docstring with one
-    batched inversion per slice.  Returns (first, last), each of shape
+    batched inversion per slice, and folds the screw run of ``op`` (if any)
+    in one step.  Returns (first, last), each of shape
     (n_points, n_open, 2*n_open): psi on the first and last slice restricted
     to the open channels, columns ordered as in :func:`_scattering_solution`.
     """
     open_idx = points[0].open_idx
     n_sl, n = op.n_slices, op.n_modes
+    run = op.screw
     b = -op.hop
     idx = np.arange(n)
     e_eye = np.array([p.e1 for p in points])[:, None, None] * np.eye(n)
     sigma_eye = np.zeros((len(points), n, n), dtype=complex)
     sigma_eye[:, idx, idx] = [p.sigma for p in points]
     for j in range(n_sl):
+        if run is not None and run.start <= j < run.stop:
+            if j == run.start:
+                left = _Corners(g_11, bg_1j / -b, g_j1, g)
+                g_11, g_1j, g_j1, g = _attach_screw_run(op, left, e_eye, stats)
+                bg_1j = -b * g_1j
+                h = -b * g
+            continue
         d = e_eye - op.onsite[j]
         if j == 0:
             d -= sigma_eye
@@ -230,11 +365,7 @@ def _corner_recursion(op: CoupledChannelOperator, points: list, stats: Counter):
             d += b * h  # -b^2 g_{j-1}
         if j == n_sl - 1:
             d -= sigma_eye
-        stats["inversions"] += 1
-        try:
-            g = np.linalg.inv(d)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"slice {j} inversion failed: {exc}") from exc
+        g = _inv(d, f"slice {j}", stats)
         h = -b * g
         if j == 0:
             g_j1 = g[:, :, open_idx]  # G_j1[:, open]
@@ -285,21 +416,28 @@ def _boundary_smatrix(
 
 
 def _smatrices(op: CoupledChannelOperator, points: list, stats: Counter) -> list:
-    """S-matrices of a stack of points that share one set of open channels.
+    """S-matrices of a stack of points that share one set of open channels,
+    solved in blocks of at most _ENERGY_BLOCK energies.
 
     Raises NumericalError for the whole stack if any of its blocks is singular.
     """
     if points[0].open_idx.size == 0:
         first = last = np.zeros((len(points), 0, 0), dtype=complex)
     else:
-        first, last = _corner_recursion(op, points, stats)
+        parts = [
+            _corner_recursion(op, points[i : i + _ENERGY_BLOCK], stats)
+            for i in range(0, len(points), _ENERGY_BLOCK)
+        ]
+        first = np.concatenate([f for f, _ in parts])
+        last = np.concatenate([l for _, l in parts])
     return [_boundary_smatrix(op, p, f, l) for p, f, l in zip(points, first, last)]
 
 
 def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
-    """S-matrix at energy e1 via the recursive Green's function sweep
-    (the batched corner recursion on a stack of one energy)."""
-    return _smatrices(op, [_prepare(op, e1)], Counter())[0]
+    """S-matrix at energy e1 via the explicit recursive Green's function
+    sweep over every slice, with no screw-run fold: the reference for the
+    folded sweep."""
+    return _smatrices(replace(op, screw=None), [_prepare(op, e1)], Counter())[0]
 
 
 def conductance(s: SMatrix):
@@ -435,6 +573,7 @@ class ConductanceCurve:
     p_lz: np.ndarray
     n_open: np.ndarray
     unitarity: np.ndarray
+    reciprocity: np.ndarray
     flux_error: np.ndarray
     threshold_flags: np.ndarray
     failures: list
@@ -448,6 +587,7 @@ _COLUMNS = (
     "p_lz",
     "n_open",
     "unitarity",
+    "reciprocity",
     "flux_error",
     "threshold_flags",
 )
@@ -470,6 +610,7 @@ def _point_observables(s: SMatrix, pair: int, record_l: int):
         p,
         s.n_open,
         s.unitarity_residual(),
+        s.reciprocity_residual(),
         s.flux_error(),
         s.threshold_flag,
     )
@@ -491,6 +632,7 @@ def _sweep_chunk(op: CoupledChannelOperator, energies, pair: int, record_l: int)
         "p_lz": np.full(n_e, np.nan),
         "n_open": np.zeros(n_e, dtype=int),
         "unitarity": np.full(n_e, np.nan),
+        "reciprocity": np.full(n_e, np.nan),
         "flux_error": np.full(n_e, np.nan),
         "threshold_flags": np.zeros(n_e, dtype=bool),
     }
@@ -573,6 +715,7 @@ def energy_sweep(plan: SweepPlan) -> ConductanceCurve:
                 "path": "rgf-batched",
                 "n_slices": int(op.n_slices),
                 "n_modes": int(op.n_modes),
+                "folded_slices": op.screw.stop - op.screw.start if op.screw else 0,
                 "stacks": int(stats["stacks"]),
                 "inversions": int(stats["inversions"]),
                 "fallback_points": int(stats["fallback_points"]),

@@ -226,6 +226,25 @@ def test_cmd_badly_typed_override_exits_1(tmp_path, capsys, override):
     assert override.split("=")[0] in err
 
 
+def test_workers_above_cpu_count_rejected(monkeypatch):
+    monkeypatch.setattr(cfgmod.os, "cpu_count", lambda: 2)
+    cfg = paper_config()
+    cfg.numerics.workers = 2
+    cfgmod.resolve(cfg)
+    cfg.numerics.workers = 3
+    with pytest.raises(ConfigError, match="workers = 3 exceeds the 2 CPUs"):
+        cfgmod.resolve(cfg)
+
+
+def test_cmd_workers_above_cpu_count_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cfgmod.os, "cpu_count", lambda: 1)
+    path = write_config(tmp_path, paper_config())
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path)]
+    assert cli.main(argv + ["--set", "numerics.workers=2"]) == 1
+    assert "workers = 2 exceeds" in capsys.readouterr().err
+    assert not (tmp_path / "run_sweep.csv").exists()
+
+
 def test_cmd_sweep_summary_reports_solver(tmp_path):
     cfg = paper_config(n_points=12, e1_min=0.4, e1_max=2.0)
     path = write_config(tmp_path, cfg)
@@ -235,7 +254,15 @@ def test_cmd_sweep_summary_reports_solver(tmp_path):
     assert solver["path"] == "rgf-batched"
     assert solver["n_slices"] == summary["diagnostics"]["n_slices"]
     assert solver["stacks"] == 2  # one and three open channels
-    assert solver["inversions"] == solver["stacks"] * solver["n_slices"]
+    # abrupt window: the screw run is every slice but the two lead slices
+    assert solver["folded_slices"] == solver["n_slices"] - 2 == 158
+    # per energy block: 2 explicit slices, the unit cell, floor(log2 158) = 7
+    # squarings, popcount(158) - 1 = 4 joins, the attach and the undress
+    assert solver["inversions"] == solver["stacks"] * (2 + 1 + 7 + 4 + 1 + 1)
+    assert summary["diagnostics"]["max_reciprocity_residual"] <= 1e-9
+    header, data = read_csv(tmp_path / "run_sweep.csv")
+    assert header[-3:] == ["unitarity_residual", "reciprocity_residual", "threshold_flag"]
+    assert np.all(data[:, -2] <= 1e-9)
     assert solver["fallback_points"] == 0
 
 

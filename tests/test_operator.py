@@ -187,6 +187,66 @@ def test_taper_window_profile():
     assert v_taper[0] < v_abrupt[0]
 
 
+# ---------------------------------------------------------------------------
+# screw run of the helical window
+# ---------------------------------------------------------------------------
+
+
+def screw_operator(prof=None, length=4.0, taper=0.0, lead_pad=0.0, closed=False):
+    basis = op.ChannelBasis(l_max=4, radius=1.0)
+    return op.assemble_coupled_channel(
+        prof or helical(), WELL, basis, length=length, dz=0.05, taper=taper,
+        lead_pad=lead_pad, closed=closed,
+    )
+
+
+def test_screw_run_of_abrupt_window_spans_all_inner_slices():
+    o = screw_operator()
+    assert o.screw == op.ScrewRun(q=helical().params["z_wavenumber"] / 2, start=1,
+                                  stop=o.n_slices - 1)
+    run = slice(o.screw.start, o.screw.stop)
+    w = o.screw.gauge(o.basis.modes, o.z_nodes[run])
+    rotated = w.conj()[:, :, None] * o.onsite[run] * w[:, None, :]
+    assert np.max(np.abs(rotated - rotated[0])) <= 1e-12 * np.max(np.abs(o.onsite))
+    # the unrotated blocks do change along the run
+    assert np.max(np.abs(o.onsite[run] - o.onsite[o.screw.start])) > 1.0
+
+
+def test_screw_run_covers_the_full_weight_slices():
+    o = screw_operator(taper=1.0, lead_pad=0.5)
+    z = o.z_nodes
+    full = np.flatnonzero((z >= 1.0) & (z <= 3.0))
+    assert (o.screw.start, o.screw.stop) == (full[0], full[-1] + 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: screw_operator(taper=2.0),  # 2*taper == length
+        lambda: screw_operator(prof=cf.custom_profile(
+            lambda t, z: 1.0 - 0.05 * (1.0 + np.cos(2.0 * t - 4.0 * z)), 0.1,
+            theta_harmonic=2)),
+        lambda: screw_operator(prof=cf.homogeneous_profile()),
+        lambda: screw_operator(closed=True),
+        lambda: screw_operator(length=0.1),  # two slices: no inner run
+    ],
+    ids=["taper-fills-window", "custom", "homogeneous", "closed", "too-short"],
+)
+def test_no_screw_run_recorded(build):
+    assert build().screw is None
+
+
+def test_broken_screw_invariance_records_no_run():
+    # a helical record whose blocks are not screw-invariant (wrong q)
+    prof = helical()
+    fake = cf.ConfinementProfile(
+        s=prof.s, epsilon=prof.epsilon, kind="helical",
+        params={**prof.params, "z_wavenumber": 1.1 * prof.params["z_wavenumber"]},
+        z_period=prof.z_period,
+    )
+    assert screw_operator(prof=fake).screw is None
+
+
 def test_resolution_guard_messages():
     basis = op.ChannelBasis(l_max=2, radius=1.0)
     with pytest.raises(ResolutionError, match="need dz <="):

@@ -1,5 +1,8 @@
 """Scattering solver: unitarity, oracles, symmetries, densities, sweeps."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -215,6 +218,36 @@ def test_mirror_symmetry_kappa_reversal():
             assert val == pytest.approx(tab_m[(-li, -lo)], abs=1e-8)
 
 
+def test_reciprocity_explicit_recursion():
+    # the Hamiltonian is real in (theta, z): t[l_out, l_in] = t'[-l_in, -l_out]
+    o = helical_operator(kappa=0.5, taper_pitches=1.0)
+    for e_rel in (0.4, 1.3, 2.6, 4.2):
+        s = tr.rgf_smatrix(o, e_rel + VG)
+        assert s.n_open > 0
+        assert s.reciprocity_residual() <= 1e-12
+
+
+def test_reciprocity_of_folded_sweep():
+    o = helical_operator(kappa=0.5, taper_pitches=1.0)
+    assert o.screw is not None
+    curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=np.linspace(0.3, 4.4, 24) + VG))
+    assert curve.failures == []
+    assert np.max(curve.reciprocity) <= 1e-9
+
+
+def test_reciprocity_catches_a_phase_flip_unitarity_misses():
+    # homogeneous cylinder: r = 0 and t diagonal, so flipping the sign of one
+    # transmission amplitude keeps S exactly unitary
+    o = homogeneous_operator()
+    s = tr.rgf_smatrix(o, 2.0)
+    assert s.reciprocity_residual() <= 1e-12
+    t = s.t.copy()
+    t[0, 0] *= -1.0
+    bad = replace(s, t=t)
+    assert bad.unitarity_residual() <= 1e-12
+    assert bad.reciprocity_residual() > 1.0
+
+
 def test_threshold_proximity_flagged():
     o = homogeneous_operator(include_vg=False)
     with pytest.warns(ThresholdProximityWarning):
@@ -420,26 +453,41 @@ def test_batched_smatrix_matches_sparse_solve():
     assert n_open == [0, 1, 1, 3, 3, 3, 3, 5, 5]
 
 
-def _point_columns(o, energies, pair=1, record_l=2):
-    cols = [
-        tr._point_observables(tr.rgf_smatrix(o, e1), pair, record_l)
-        for e1 in energies
-    ]
-    return {name: np.array([c[i] for c in cols]) for i, name in enumerate(tr._COLUMNS)}
-
-
 def test_sweep_results_independent_of_chunking():
+    # the reference is one single-point sweep per energy: the fold makes the
+    # sweep differ from the explicit rgf_smatrix at the 1e-12 level, but every
+    # point must come out bit for bit the same in any chunk or stack
     o = helical_operator(pitches=4.0, l_max=4)
     energies = np.linspace(-0.2, 4.2, 11) + VG
-    per_point = _point_columns(o, energies)
+    points = [tr.energy_sweep(tr.SweepPlan(op=o, energies=[e1])) for e1 in energies]
     for workers in (1, 2, 3):
         curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies, workers=workers))
         assert curve.failures == []
         for name in ("sigma_total", "sigma_modes", "p_lz"):
-            np.testing.assert_array_equal(getattr(curve, name), per_point[name])
+            per_point = np.concatenate([getattr(p, name) for p in points])
+            np.testing.assert_array_equal(getattr(curve, name), per_point)
     solver = curve.meta["solver"]
     assert solver["path"] == "rgf-batched"
     assert solver["fallback_points"] == 0
+
+
+def test_fold_exact_at_eigenvalues_of_the_isolated_run():
+    # at an eigenvalue of the isolated screw run its bare Green's function is
+    # singular; the dressed segments of the fold never invert it
+    o = helical_operator(pitches=2.0, l_max=4, taper_pitches=0.0)
+    n, run = o.n_modes, o.screw
+    assert (run.start, run.stop) == (1, o.n_slices - 1)
+    h = o.sparse().toarray()[run.start * n : run.stop * n, run.start * n : run.stop * n]
+    eigs = np.linalg.eigvalsh(h)
+    eigs = eigs[(eigs > VG + 0.05) & (eigs < VG + 4.4)]
+    assert eigs.size >= 3
+    for e1 in eigs:
+        folded = tr._smatrices(o, [tr._prepare(o, e1)], Counter())[0]
+        explicit = tr.rgf_smatrix(o, e1)
+        for name in ("t", "r", "t_reverse", "r_reverse"):
+            np.testing.assert_allclose(
+                getattr(folded, name), getattr(explicit, name), rtol=0, atol=1e-10
+            )
 
 
 @pytest.mark.parametrize("workers", [1, 2])
