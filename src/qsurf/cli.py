@@ -16,35 +16,53 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
 from . import geometry, operator, selftest, transport
-from .errors import (
-    ClosedChannelError,
-    ConfigError,
-    NumericalError,
-    ProfileError,
-    QsurfError,
-    ResolutionError,
-)
+from .errors import ClosedChannelError, ConfigError, NumericalError
+from .errors import ProfileError, QsurfError, ResolutionError
 
 UNITS_NOTE = "# units: lengths in a, energies in e0 = hbar^2/(2 m a^2), sigma in sigma0 = e^2/h"
 
-_FMT = "%.17g"  # CSV float format; fixed for bit-identical reruns
+_FMT = "%.17g"  # CSV float format: round-trips exactly, so reruns are bit-identical
 
 
-def _fmt(x) -> str:
-    return _FMT % float(x)
+def _write_csv(path: Path, header, columns) -> None:
+    """Stream a CSV table one outer row at a time.
+
+    The float ``columns`` broadcast to one (outer, inner) table; a 1-D column
+    runs along the outer axis.  Each value is formatted once, so a grid axis
+    laid out as (1, inner) costs one string per grid point, not one per row.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
+    n_outer, n_inner = np.broadcast_shapes(*(c.shape for c in cols))
+
+    def cells(c, i):
+        text = list(map(_FMT.__mod__, c[i].tolist()))
+        return text * n_inner if len(text) < n_inner else text
+
+    fixed = {k: cells(c, 0) for k, c in enumerate(cols) if len(c) == 1}
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"{UNITS_NOTE}\n{','.join(header)}\n")
+        for i in range(n_outer):
+            row = [fixed[k] if k in fixed else cells(c, i) for k, c in enumerate(cols)]
+            f.write("\n".join(map(",".join, zip(*row))) + "\n")
 
 
-def _write_csv(path: Path, header_cols, rows, note: str = UNITS_NOTE) -> None:
-    lines = [note, ",".join(header_cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+class _Stopwatch:
+    """``lap(stage)`` records the seconds since the previous lap as ``stage_s``."""
+
+    def __init__(self):
+        self.seconds, self._last = {}, time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        last, self._last = self._last, time.perf_counter()
+        self.seconds[f"{stage}_s"] = self._last - last
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -56,10 +74,9 @@ def _load_config(args) -> cfgmod.RunConfig:
         raise ConfigError("this command requires --config <path>")
     cfg = cfgmod.load(args.config)
     for item in args.set or []:
-        try:
-            key, value = item.split("=", 1)
-        except ValueError:
-            raise ConfigError(f"--set needs key=value, got '{item}'") from None
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--set needs key=value, got '{item}'")
         cfgmod.apply_override(cfg, key, value)
     return cfg
 
@@ -79,28 +96,24 @@ def cmd_curvature(args) -> int:
     cfg = _load_config(args)
     setup = cfgmod.resolve(cfg)
     chart = setup.chart
-    n1, n2 = cfg.numerics.grid_n1, cfg.numerics.grid_n2
-    (a1, b1), (a2, b2) = chart.domain
-    q1 = np.linspace(a1, b1, n1, endpoint=not chart.periodic[0])
-    q2 = np.linspace(a2, b2, n2, endpoint=not chart.periodic[1])
-    # keep strictly inside open boxes (coordinate singularities at edges)
-    if chart.axis_closure(0) in ("dirichlet", "natural"):
-        h = (b1 - a1) / (n1 + 1)
-        q1 = np.linspace(a1 + h, b1 - h, n1)
-    if chart.axis_closure(1) in ("dirichlet", "natural"):
-        h = (b2 - a2) / (n2 + 1)
-        q2 = np.linspace(a2 + h, b2 - h, n2)
+
+    def axis(k: int, n: int) -> np.ndarray:
+        a, b = chart.domain[k]
+        if chart.axis_closure(k) in ("dirichlet", "natural"):
+            h = (b - a) / (n + 1)  # keep inside: coordinate singularities at edges
+            return np.linspace(a + h, b - h, n)
+        return np.linspace(a, b, n, endpoint=not chart.periodic[k])
+
+    q1, q2 = axis(0, cfg.numerics.grid_n1), axis(1, cfg.numerics.grid_n2)
     qq1, qq2 = np.meshgrid(q1, q2, indexing="ij")
     try:
         data = geometry.curvature(chart, (qq1, qq2))
         vg = geometry.geometric_potential(chart, (qq1, qq2))
     except QsurfError as exc:
         raise NumericalError(f"curvature evaluation failed: {exc}") from exc
-    rows = zip(
-        qq1.ravel(), qq2.ravel(), data.mean.ravel(), data.gaussian.ravel(), vg.ravel()
-    )
     out = _outdir(args) / f"{cfg.output.prefix}_curvature.csv"
-    _write_csv(out, ["q1[a]", "q2[a or rad]", "M[1/a]", "K[1/a^2]", "Vg[e0]"], rows)
+    header = ["q1[a]", "q2[a or rad]", "M[1/a]", "K[1/a^2]", "Vg[e0]"]
+    _write_csv(out, header, [q1[:, None], q2[None, :], data.mean, data.gaussian, vg])
     print(f"wrote {out}")
     return 0
 
@@ -119,7 +132,7 @@ def cmd_spectrum(args) -> int:
         h2d, cfg.numerics.spectrum_count, sigma=grid.v_min - 1.0
     )
     out = _outdir(args) / f"{cfg.output.prefix}_spectrum.csv"
-    _write_csv(out, ["index", "E[e0]"], [(str(i), v) for i, v in enumerate(vals)])
+    _write_csv(out, ["index", "E[e0]"], [np.arange(vals.size), vals])
     meta = {
         "chart": cfg.chart.kind,
         "grid": [cfg.numerics.grid_n1, cfg.numerics.grid_n2],
@@ -132,9 +145,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    clock = _Stopwatch()
     cfg = _load_config(args)
     setup = cfgmod.resolve(cfg)
+    clock.lap("resolve")
     op = cfgmod.build_operator(setup)
+    clock.lap("operator")
     plan = transport.SweepPlan(
         op=op,
         energies=setup.energies,
@@ -143,37 +159,24 @@ def cmd_sweep(args) -> int:
         workers=cfg.numerics.workers,
     )
     curve = transport.energy_sweep(plan)
+    clock.lap("solve")
     if len(curve.failures) == curve.energies.size:
         raise NumericalError("every sweep point failed")
 
     rec = curve.recorded_modes
-    pair_cols = [
-        f"sigma[in={li:+d},out={lo:+d}]" for li in rec for lo in rec
-    ]
-    header = (
-        ["E1_raw[e0]", "E1_rel[e0]", "sigma_total[sigma0]"]
-        + pair_cols
-        + ["P_Lz", "n_open", "unitarity_residual", "reciprocity_residual"]
-        + ["threshold_flag"]
-    )
-    rows = []
-    for i in range(curve.energies.size):
-        rows.append(
-            [curve.energies[i], curve.energies_relative[i], curve.sigma_total[i]]
-            + list(curve.sigma_modes[i].ravel())
-            + [
-                curve.p_lz[i],
-                float(curve.n_open[i]),
-                curve.unitarity[i],
-                curve.reciprocity[i],
-                float(curve.threshold_flags[i]),
-            ]
-        )
+    header = ["E1_raw[e0]", "E1_rel[e0]", "sigma_total[sigma0]"]
+    header += [f"sigma[in={li:+d},out={lo:+d}]" for li in rec for lo in rec]
+    header += ["P_Lz", "n_open", "unitarity_residual", "reciprocity_residual"]
+    header.append("threshold_flag")
+    columns = [curve.energies, curve.energies_relative, curve.sigma_total]
+    columns += list(curve.sigma_modes.reshape(curve.energies.size, -1).T)
+    columns += [curve.p_lz, curve.n_open, curve.unitarity, curve.reciprocity]
+    columns.append(curve.threshold_flags)
     outdir = _outdir(args)
     csv_path = outdir / f"{cfg.output.prefix}_sweep.csv"
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, header, columns)
+    clock.lap("csv_write")
 
-    thresholds = sorted(set(float(t) for t in setup.thresholds_relative))
     summary = {
         "config": cfgmod.config_to_dict(cfg),
         "conventions": {
@@ -188,7 +191,7 @@ def cmd_sweep(args) -> int:
         "plateaus": transport.detect_plateaus(
             curve.energies_relative, curve.sigma_total
         ),
-        "thresholds_relative": thresholds,
+        "thresholds_relative": sorted(set(map(float, setup.thresholds_relative))),
         "diagnostics": {
             "max_unitarity_residual": float(np.nanmax(curve.unitarity)),
             "max_reciprocity_residual": float(np.nanmax(curve.reciprocity)),
@@ -200,6 +203,7 @@ def cmd_sweep(args) -> int:
             "window_length": float(setup.length),
         },
         "solver": curve.meta["solver"],
+        "timing": clock.seconds,
         "failures": curve.failures,
     }
     _write_json(outdir / f"{cfg.output.prefix}_sweep_summary.json", summary)
@@ -208,27 +212,29 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_density(args) -> int:
+    clock = _Stopwatch()
+    if args.n_theta < 1:
+        raise ConfigError(f"--n-theta must be at least 1, got {args.n_theta}")
     cfg = _load_config(args)
     setup = cfgmod.resolve(cfg)
     if cfg.numerics.lead_pad is None:
         # default for density maps: keep two pitches of clean lead in view
         cfg.numerics.lead_pad = 2.0 * (setup.profile.z_period or setup.length / 4.0)
         setup = cfgmod.resolve(cfg)
+    clock.lap("resolve")
     op = cfgmod.build_operator(setup)
+    clock.lap("operator")
     e1 = args.e1 + (setup.band_bottom if cfg.sweep.reference == "threshold" else 0.0)
     try:
-        dmap = transport.scattering_density(
-            op, e1, args.mode, n_theta=args.n_theta, side="left"
-        )
+        dmap = transport.scattering_density(op, e1, args.mode, n_theta=args.n_theta)
     except ClosedChannelError as exc:
         raise ConfigError(str(exc)) from exc
+    clock.lap("solve")
     outdir = _outdir(args)
-    rows = []
-    for i, z in enumerate(dmap.z):
-        for j, th in enumerate(dmap.theta):
-            rows.append([th, z, dmap.density[i, j]])
     csv_path = outdir / f"{cfg.output.prefix}_density.csv"
-    _write_csv(csv_path, ["theta[rad]", "z[a]", "density[1/a^2]"], rows)
+    header = ["theta[rad]", "z[a]", "density[1/a^2]"]
+    _write_csv(csv_path, header, [dmap.theta[None, :], dmap.z[:, None], dmap.density])
+    clock.lap("csv_write")
     meta = {
         "e1_raw": float(e1),
         "e1_rel": float(e1 - setup.band_bottom),
@@ -238,6 +244,7 @@ def cmd_density(args) -> int:
         "window": [float(dmap.window[0]), float(dmap.window[1])],
         "normalization": "incident plane wave has unit channel amplitude "
         "(uniform density 1/(2 pi))",
+        "timing": clock.seconds,
     }
     _write_json(outdir / f"{cfg.output.prefix}_density.json", meta)
     print(f"wrote {csv_path}")
@@ -264,7 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for func, text in (
+        (cmd_curvature, "tabulate M, K, Vg on the chart grid"),
+        (cmd_spectrum, "closed-system eigenvalues on the chart"),
+        (cmd_sweep, "conductance and polarization vs energy"),
+        (cmd_density, "scattering-state density map"),
+    ):
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=text)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="path to the JSON run configuration")
         p.add_argument("--out", help="output directory (default: cwd)")
         p.add_argument(
@@ -274,24 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config field (repeatable)",
         )
 
-    p = sub.add_parser("curvature", help="tabulate M, K, Vg on the chart grid")
-    common(p)
-    p.set_defaults(func=cmd_curvature)
-
-    p = sub.add_parser("spectrum", help="closed-system eigenvalues on the chart")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("sweep", help="conductance and polarization vs energy")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("density", help="scattering-state density map")
-    common(p)
+    p = sub.choices["density"]
     p.add_argument("--e1", type=float, required=True, help="energy (sweep reference)")
     p.add_argument("--mode", type=int, required=True, help="incident mode l")
     p.add_argument("--n-theta", type=int, default=64, dest="n_theta")
-    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("selftest", help="run the built-in oracle suite")
     p.add_argument("--inject", help="deliberate fault for harness tests")
@@ -300,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ProfileError, ResolutionError, ValueError) as exc:

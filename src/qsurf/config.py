@@ -340,6 +340,11 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
 
     if num.workers < 1:
         raise ConfigError("numerics: workers must be >= 1")
+    if min(num.grid_n1, num.grid_n2) < 1:
+        raise ConfigError(
+            f"numerics: grid_n1 and grid_n2 must be at least 1, "
+            f"got {num.grid_n1} x {num.grid_n2}"
+        )
     cpus = os.cpu_count() or 1
     if num.workers > cpus:
         raise ConfigError(

@@ -679,10 +679,14 @@ def lowest_eigenvalues_2d(h: sp.csr_matrix, k: int, sigma: float) -> np.ndarray:
     Shift-invert returns the eigenvalues nearest to ``sigma``, so ``sigma``
     must sit below the spectrum.  For the 2D operator pass ``grid.v_min``
     minus a margin (the kinetic quadratic form is positive semidefinite, so
-    the potential minimum bounds the spectrum from below).
+    the potential minimum bounds the spectrum from below).  The Lanczos start
+    vector comes from a fixed seed, so reruns return bit-identical values.
     """
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, h.shape[0])
     try:
-        vals = spla.eigsh(h, k=k, sigma=sigma, which="LM", return_eigenvectors=False)
+        vals = spla.eigsh(
+            h, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False
+        )
     except Exception as exc:  # factorization or convergence failure
         raise NumericalError(f"sparse eigensolve failed: {exc}") from exc
     return np.sort(vals)

@@ -298,6 +298,53 @@ def test_cmd_density_homogeneous_uniform(tmp_path):
     assert meta["l_incident"] == 0
 
 
+@pytest.mark.parametrize("n_theta", ["0", "-3"])
+def test_cmd_density_empty_theta_grid_exits_1(tmp_path, capsys, n_theta):
+    path = write_config(tmp_path, paper_config())
+    argv = ["density", "--config", str(path), "--out", str(tmp_path)]
+    assert cli.main(argv + ["--e1", "2.0", "--mode", "0", "--n-theta", n_theta]) == 1
+    assert f"--n-theta must be at least 1, got {n_theta}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run_density.*"))
+
+
+@pytest.mark.parametrize("override", ["numerics.grid_n1=0", "numerics.grid_n2=-2"])
+@pytest.mark.parametrize("command", ["curvature", "spectrum"])
+def test_cmd_empty_chart_grid_exits_1(tmp_path, capsys, override, command):
+    path = write_config(tmp_path, paper_config())
+    argv = [command, "--config", str(path), "--out", str(tmp_path), "--set", override]
+    assert cli.main(argv) == 1
+    assert "grid_n1 and grid_n2 must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run_*"))
+
+
+def test_cmd_summaries_report_stage_timing(tmp_path):
+    cfg = paper_config(n_points=4, e1_min=0.4, e1_max=2.0)
+    cfg.profile.kind = "homogeneous"
+    cfg.numerics.length = 2.0
+    path = write_config(tmp_path, cfg)
+    argv = ["--config", str(path), "--out", str(tmp_path)]
+    assert cli.main(["sweep"] + argv) == 0
+    assert cli.main(["density"] + argv + ["--e1", "2.0", "--mode", "0"]) == 0
+    for name in ("run_sweep_summary.json", "run_density.json"):
+        timing = json.loads((tmp_path / name).read_text())["timing"]
+        assert set(timing) == {"resolve_s", "operator_s", "solve_s", "csv_write_s"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timing.values())
+
+
+def test_cmd_spectrum_reruns_bit_identical(tmp_path):
+    cfg = paper_config()
+    cfg.chart.kind = "sphere"
+    cfg.chart.params = {"radius": 1.0}
+    cfg.profile.kind = "homogeneous"
+    cfg.numerics.grid_n1, cfg.numerics.grid_n2 = 12, 24
+    path = write_config(tmp_path, cfg)
+    for out in ("a", "b"):
+        argv = ["spectrum", "--config", str(path), "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 0
+    a, b = (tmp_path / out / "run_spectrum.csv" for out in ("a", "b"))
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_cmd_density_closed_channel_names_threshold(tmp_path, capsys):
     cfg = paper_config()
     cfg.profile.kind = "homogeneous"
@@ -348,8 +395,11 @@ def test_cmd_spectrum_sphere(tmp_path):
     np.testing.assert_allclose(data[:, 1], [0.0, 2.0, 2.0, 2.0], atol=0.05)
 
 
-def test_cmd_selftest_passes():
+def test_cmd_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(ln.startswith("PASS") for ln in lines)
+    assert lines[-1].startswith("PASS  sweep_fold_equivalence:")
 
 
 def test_cmd_selftest_fault_injection():
