@@ -121,6 +121,12 @@ def cmd_curvature(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args)
     setup = cfgmod.resolve(cfg)
+    num = cfg.numerics
+    if num.spectrum_count >= num.grid_n1 * num.grid_n2:
+        raise ConfigError(
+            f"numerics: spectrum_count = {num.spectrum_count} must be below the "
+            f"{num.grid_n1} x {num.grid_n2} = {num.grid_n1 * num.grid_n2} grid points"
+        )
     h2d, grid = operator.assemble_2d(
         setup.chart,
         setup.profile if setup.profile.kind != "homogeneous" else None,

@@ -352,6 +352,12 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
         )
     if sw.pair < 1:
         raise ConfigError("sweep: pair must be a positive mode index")
+    if sw.record_l < 0:
+        raise ConfigError(f"sweep: record_l must be non-negative, got {sw.record_l}")
+    if num.spectrum_count < 1:
+        raise ConfigError(
+            f"numerics: spectrum_count must be at least 1, got {num.spectrum_count}"
+        )
 
     thresholds_rel = (basis.modes / radius) ** 2
     grid_rel = transport.sweep_energies(

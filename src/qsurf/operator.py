@@ -95,11 +95,6 @@ class LeadModeSet:
     def open_modes(self) -> np.ndarray:
         return self.modes[self.open_mask]
 
-    def continuum_k(self) -> np.ndarray:
-        """sqrt(E1 - E_l - V_g) on open channels (nan when closed)."""
-        d = self.e1 - self.offsets
-        return np.where(d > 0.0, np.sqrt(np.maximum(d, 0.0)), np.nan)
-
 
 def lead_modes(
     e1: float, basis: ChannelBasis, dz: float, include_vg: bool = True

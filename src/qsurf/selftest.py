@@ -11,7 +11,7 @@ verify that the corresponding suite actually fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -210,17 +210,7 @@ def check_unitarity(inject: str | None = None, samples: int = 20) -> CheckResult
                 break
         s = transport.rgf_smatrix(op, e1)
         if inject == "velocity_norm" and s.n_open:
-            s = transport.SMatrix(
-                e1=s.e1,
-                open_modes=s.open_modes,
-                t=s.t * 1.01,
-                r=s.r,
-                t_reverse=s.t_reverse,
-                r_reverse=s.r_reverse,
-                velocities=s.velocities,
-                leads=s.leads,
-                include_vg=s.include_vg,
-            )
+            s = replace(s, t=s.t * 1.01)
         worst = max(worst, s.unitarity_residual(), s.flux_error())
     passed = worst <= 1e-8
     return CheckResult(

@@ -70,6 +70,11 @@ Derivation of the injection and extraction formulas, in the conventions of
   the incident contribution -e^{2 i k_l dz} delta) and e^{i k_l' dz} psi_N
   (transmission side);
 * flux normalization multiplies amplitudes by sqrt(v_out / v_in).
+
+Sweeps keep the blocks t, r, t', r' stacked over energy, shape (n_e, n_open,
+n_open), and compute every column with array operations on the stack;
+:class:`SMatrix` is the single-energy view, and its methods,
+:func:`conductance` and :func:`polarization` run the same kernels on one block.
 """
 
 from __future__ import annotations
@@ -115,9 +120,49 @@ def lead_self_energy(leads: LeadModeSet, dz: float) -> np.ndarray:
     return sigma
 
 
+def _transmission(t):
+    """Landauer conductance sigma/sigma0 = sum |t|^2 of each block [..., out, in]."""
+    return np.sum(np.abs(t) ** 2, axis=(-2, -1))
+
+
+def _unitarity(t, r, t_reverse, r_reverse):
+    """Max |S^dag S - 1| with S = [[r, t'], [t, r']] over (left in, right in)."""
+    s = np.block([[r, t_reverse], [t, r_reverse]])
+    sds = s.conj().swapaxes(-1, -2) @ s
+    return np.max(np.abs(sds - np.eye(s.shape[-1])), axis=(-2, -1), initial=0.0)
+
+
+def _flux_error(t, r, t_reverse, r_reverse):
+    """Max deviation of the per-incident-mode flux sums from 1."""
+    sums = [
+        np.sum(np.abs(a) ** 2 + np.abs(b) ** 2, axis=-2)
+        for a, b in ((t, r), (t_reverse, r_reverse))
+    ]
+    return np.max(np.abs(np.concatenate(sums, axis=-1) - 1.0), axis=-1, initial=0.0)
+
+
+def _reciprocity(t, t_reverse):
+    """Max |t[l_out, l_in] - t_reverse[-l_in, -l_out]| (time reversal of a
+    Hamiltonian that is real in (theta, z)).  Open modes come in +-l pairs in
+    ascending order, so -l sits at the mirrored index."""
+    mirrored = t_reverse[..., ::-1, ::-1].swapaxes(-1, -2)
+    return np.max(np.abs(t - mirrored), axis=(-2, -1), initial=0.0)
+
+
+def _polarization(block, open_modes: np.ndarray, pair: int):
+    """(sigma_{+pair} - sigma_{-pair}) / sigma over the outgoing rows of a
+    transmission block; NaN where nothing is transmitted."""
+    out = np.sum(np.abs(block) ** 2, axis=-1)
+    plus, minus = (np.sum(out[..., open_modes == m], axis=-1) for m in (pair, -pair))
+    total = _transmission(block)
+    nan = np.full_like(total, np.nan)
+    return np.divide(plus - minus, total, out=nan, where=total > 0.0)
+
+
 @dataclass(frozen=True)
 class SMatrix:
-    """Flux-normalized scattering amplitudes at one energy.
+    """Flux-normalized scattering amplitudes at one energy: the single-energy
+    view of the blocks that sweeps handle as stacks.
 
     Blocks are indexed [outgoing, incident] over the open modes listed in
     ``open_modes`` (identical in both leads).  ``t``/``r`` belong to left
@@ -132,48 +177,22 @@ class SMatrix:
     r: np.ndarray
     t_reverse: np.ndarray
     r_reverse: np.ndarray
-    velocities: np.ndarray
-    leads: LeadModeSet
-    include_vg: bool
     threshold_flag: bool = False
 
     @property
     def n_open(self) -> int:
         return self.open_modes.size
 
-    def full(self) -> np.ndarray:
-        """S = [[r, t'], [t, r']] over (left in, right in)."""
-        return np.block([[self.r, self.t_reverse], [self.t, self.r_reverse]])
-
     def unitarity_residual(self) -> float:
-        if self.n_open == 0:
-            return 0.0
-        s = self.full()
-        return float(np.max(np.abs(s.conj().T @ s - np.eye(2 * self.n_open))))
+        return float(_unitarity(self.t, self.r, self.t_reverse, self.r_reverse))
 
     def flux_error(self) -> float:
         """Max deviation of per-incident-mode flux sums from 1."""
-        if self.n_open == 0:
-            return 0.0
-        sums_l = np.sum(np.abs(self.t) ** 2 + np.abs(self.r) ** 2, axis=0)
-        sums_r = np.sum(
-            np.abs(self.t_reverse) ** 2 + np.abs(self.r_reverse) ** 2, axis=0
-        )
-        return float(np.max(np.abs(np.concatenate([sums_l, sums_r]) - 1.0)))
+        return float(_flux_error(self.t, self.r, self.t_reverse, self.r_reverse))
 
     def reciprocity_residual(self) -> float:
-        """Max |t[l_out, l_in] - t_reverse[-l_in, -l_out]| (time reversal of a
-        Hamiltonian that is real in (theta, z)).  Open modes come in +-l
-        pairs in ascending order, so -l sits at the mirrored index."""
-        if self.n_open == 0:
-            return 0.0
-        return float(np.max(np.abs(self.t - self.t_reverse[::-1, ::-1].T)))
-
-    def mode_index(self, l: int) -> int:
-        hits = np.nonzero(self.open_modes == l)[0]
-        if hits.size == 0:
-            raise ClosedChannelError(f"mode {l} is not open at E1 = {self.e1:.6g}")
-        return int(hits[0])
+        """Max |t[l_out, l_in] - t_reverse[-l_in, -l_out]|."""
+        return float(_reciprocity(self.t, self.t_reverse))
 
 
 class _Point(NamedTuple):
@@ -182,6 +201,7 @@ class _Point(NamedTuple):
     e1: float
     leads: LeadModeSet
     open_idx: np.ndarray
+    open_modes: np.ndarray
     sigma: np.ndarray
     threshold_flag: bool
 
@@ -203,7 +223,8 @@ def _prepare(op: CoupledChannelOperator, e1: float) -> _Point:
         )
     sigma = lead_self_energy(leads, op.dz)
     open_idx = np.nonzero(leads.open_mask)[0]
-    return _Point(float(e1), leads, open_idx, sigma, threshold_flag)
+    modes = leads.modes[open_idx]
+    return _Point(float(e1), leads, open_idx, modes, sigma, threshold_flag)
 
 
 def _injection_amplitudes(point: _Point, dz: float) -> np.ndarray:
@@ -383,41 +404,32 @@ def _corner_recursion(op: CoupledChannelOperator, points: list, stats: Counter):
     return first * amps, last * amps
 
 
-def _boundary_smatrix(
-    op: CoupledChannelOperator, point: _Point, first: np.ndarray, last: np.ndarray
-) -> SMatrix:
-    """Flux-normalized S-matrix from psi on the first and last slice
-    (open-channel rows, columns as in :func:`_scattering_solution`)."""
-    leads, open_idx = point.leads, point.open_idx
+def _boundary_blocks(points: list, first: np.ndarray, last: np.ndarray):
+    """Flux-normalized blocks (t, r, t_reverse, r_reverse) of a stack of
+    points from psi on the first and last slice (open-channel rows, columns as
+    in :func:`_scattering_solution`), each of shape (n_points, n_open, n_open)."""
+    open_idx = points[0].open_idx
     n_open = open_idx.size
-    bloch_open = leads.bloch[open_idx]
-    v_open = leads.velocity[open_idx]
-
-    cols_l = np.arange(n_open)
-    cols_r = n_open + cols_l
-    t_raw = bloch_open[:, None] * last[:, cols_l]
-    r_raw = bloch_open[:, None] * first[:, cols_l] - np.diag(bloch_open**2)
-    tp_raw = bloch_open[:, None] * first[:, cols_r]
-    rp_raw = bloch_open[:, None] * last[:, cols_r] - np.diag(bloch_open**2)
-
-    flux = np.sqrt(v_open)[:, None] / np.sqrt(v_open)[None, :]
-    return SMatrix(
-        e1=point.e1,
-        open_modes=leads.modes[open_idx],
-        t=flux * t_raw,
-        r=flux * r_raw,
-        t_reverse=flux * tp_raw,
-        r_reverse=flux * rp_raw,
-        velocities=v_open,
-        leads=leads,
-        include_vg=op.include_vg,
-        threshold_flag=point.threshold_flag,
+    bloch = np.array([p.leads.bloch[open_idx] for p in points])
+    root_v = np.sqrt([p.leads.velocity[open_idx] for p in points])
+    flux = root_v[:, :, None] / root_v[:, None, :]
+    first = bloch[:, :, None] * first
+    last = bloch[:, :, None] * last
+    diag = np.arange(n_open)
+    first[:, diag, diag] -= bloch**2  # remove the incident wave from r
+    last[:, diag, n_open + diag] -= bloch**2  # and from r_reverse
+    return (
+        flux * last[:, :, :n_open],
+        flux * first[:, :, :n_open],
+        flux * first[:, :, n_open:],
+        flux * last[:, :, n_open:],
     )
 
 
-def _smatrices(op: CoupledChannelOperator, points: list, stats: Counter) -> list:
-    """S-matrices of a stack of points that share one set of open channels,
-    solved in blocks of at most _ENERGY_BLOCK energies.
+def _smatrices(op: CoupledChannelOperator, points: list, stats: Counter):
+    """Flux-normalized blocks (t, r, t_reverse, r_reverse) of a stack of points
+    that share one set of open channels, each of shape (n_points, n_open,
+    n_open); solved in blocks of at most _ENERGY_BLOCK energies.
 
     Raises NumericalError for the whole stack if any of its blocks is singular.
     """
@@ -430,14 +442,16 @@ def _smatrices(op: CoupledChannelOperator, points: list, stats: Counter) -> list
         ]
         first = np.concatenate([f for f, _ in parts])
         last = np.concatenate([l for _, l in parts])
-    return [_boundary_smatrix(op, p, f, l) for p, f, l in zip(points, first, last)]
+    return _boundary_blocks(points, first, last)
 
 
 def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
     """S-matrix at energy e1 via the explicit recursive Green's function
     sweep over every slice, with no screw-run fold: the reference for the
     folded sweep."""
-    return _smatrices(replace(op, screw=None), [_prepare(op, e1)], Counter())[0]
+    point = _prepare(op, e1)
+    blocks = [b[0] for b in _smatrices(replace(op, screw=None), [point], Counter())]
+    return SMatrix(point.e1, point.open_modes, *blocks, point.threshold_flag)
 
 
 def conductance(s: SMatrix):
@@ -447,12 +461,10 @@ def conductance(s: SMatrix):
     The table maps (l_incident, l_outgoing) -> sigma_{l', l}/sigma0, in the
     incident-first index order.
     """
-    total = float(np.sum(np.abs(s.t) ** 2))
-    table = {}
-    for ci, l_in in enumerate(s.open_modes):
-        for ri, l_out in enumerate(s.open_modes):
-            table[(int(l_in), int(l_out))] = float(np.abs(s.t[ri, ci]) ** 2)
-    return total, table
+    modes = s.open_modes.tolist()
+    t2 = (np.abs(s.t) ** 2).T.tolist()  # [incident][outgoing]
+    table = {(li, lo): v for li, row in zip(modes, t2) for lo, v in zip(modes, row)}
+    return float(_transmission(s.t)), table
 
 
 def polarization(s: SMatrix, pair: int = 1, side: str = "right") -> float:
@@ -466,17 +478,15 @@ def polarization(s: SMatrix, pair: int = 1, side: str = "right") -> float:
     """
     if pair <= 0:
         raise ValueError("pair must be a positive mode index")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     block = s.t if side == "right" else s.t_reverse
-    total = float(np.sum(np.abs(block) ** 2))
-    if total <= 0.0:
+    p = float(_polarization(block, s.open_modes, pair))
+    if np.isnan(p):
         raise UndefinedPolarizationError(
             f"no transmitted current at E1 = {s.e1:.6g}; polarization undefined"
         )
-    plus = np.nonzero(s.open_modes == pair)[0]
-    minus = np.nonzero(s.open_modes == -pair)[0]
-    sig_plus = float(np.sum(np.abs(block[plus, :]) ** 2)) if plus.size else 0.0
-    sig_minus = float(np.sum(np.abs(block[minus, :]) ** 2)) if minus.size else 0.0
-    return (sig_plus - sig_minus) / total
+    return p
 
 
 @dataclass(frozen=True)
@@ -507,12 +517,13 @@ def scattering_density(
     """Scattering wavefunction density for one incident open mode.
 
     The channel column is reconstructed on every slice by the sparse direct
-    solve and synthesized on a uniform theta grid.
+    solve and synthesized on a uniform theta grid.  ``side`` is the lead the
+    wave is incident from.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     point, psi = _scattering_solution(op, e1)
-    open_idx = point.open_idx
-    open_modes = point.leads.modes[open_idx]
-    hits = np.nonzero(open_modes == l_incident)[0]
+    hits = np.nonzero(point.open_modes == l_incident)[0]
     if hits.size == 0:
         offset = (l_incident / op.basis.radius) ** 2 + (
             op.basis.geometric_potential if op.include_vg else 0.0
@@ -521,7 +532,7 @@ def scattering_density(
             f"mode {l_incident} is closed at E1 = {e1:.6g} "
             f"(threshold {offset:.6g})"
         )
-    col = int(hits[0]) if side == "left" else open_idx.size + int(hits[0])
+    col = int(hits[0]) if side == "left" else point.open_idx.size + int(hits[0])
     amps = psi[:, :, col]  # (n_slices, n_modes)
 
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
@@ -580,46 +591,11 @@ class ConductanceCurve:
     meta: dict = field(default_factory=dict)
 
 
-# per-point columns of a sweep, in the order _point_observables returns them
-_COLUMNS = (
-    "sigma_total",
-    "sigma_modes",
-    "p_lz",
-    "n_open",
-    "unitarity",
-    "reciprocity",
-    "flux_error",
-    "threshold_flags",
-)
-
-
-def _point_observables(s: SMatrix, pair: int, record_l: int):
-    rec = np.arange(-record_l, record_l + 1)
-    sig = np.zeros((rec.size, rec.size))
-    total, table = conductance(s)
-    for (l_in, l_out), val in table.items():
-        if abs(l_in) <= record_l and abs(l_out) <= record_l:
-            sig[l_in + record_l, l_out + record_l] = val
-    try:
-        p = polarization(s, pair=pair, side="right")
-    except UndefinedPolarizationError:
-        p = float("nan")
-    return (
-        total,
-        sig,
-        p,
-        s.n_open,
-        s.unitarity_residual(),
-        s.reciprocity_residual(),
-        s.flux_error(),
-        s.threshold_flag,
-    )
-
-
 def _sweep_chunk(op: CoupledChannelOperator, energies, pair: int, record_l: int):
     """Observables on a contiguous chunk of the energy grid.
 
-    Energies with the same open channels are solved as one stack.  When a
+    Energies with the same open channels are solved as one stack, and every
+    column is filled for the whole stack from its stacked blocks.  When a
     stack hits a singular block, it is re-solved one energy at a time, so only
     the bad point fails.  Returns (columns, failures, stats); failure indices
     are local to the chunk.
@@ -653,7 +629,7 @@ def _sweep_chunk(op: CoupledChannelOperator, energies, pair: int, record_l: int)
     while queue:
         idx = queue.pop()
         try:
-            smats = _smatrices(op, [points[i] for i in idx], stats)
+            t, r, t_rev, r_rev = _smatrices(op, [points[i] for i in idx], stats)
         except NumericalError as exc:
             if len(idx) > 1:
                 stats["fallback_points"] += len(idx)
@@ -663,9 +639,20 @@ def _sweep_chunk(op: CoupledChannelOperator, energies, pair: int, record_l: int)
                     {"index": idx[0], "e1": float(energies[idx[0]]), "error": str(exc)}
                 )
             continue
-        for i, s in zip(idx, smats):
-            for name, value in zip(_COLUMNS, _point_observables(s, pair, record_l)):
-                columns[name][i] = value
+        modes = points[idx[0]].open_modes
+        keep = np.flatnonzero(np.abs(modes) <= record_l)
+        window = modes[keep] + record_l  # recorded open modes, window positions
+        columns["sigma_modes"][idx] = 0.0
+        columns["sigma_modes"][np.ix_(idx, window, window)] = (
+            np.abs(t[:, keep[:, None], keep].swapaxes(1, 2)) ** 2  # [in, out]
+        )
+        columns["sigma_total"][idx] = _transmission(t)
+        columns["p_lz"][idx] = _polarization(t, modes, pair)
+        columns["n_open"][idx] = modes.size
+        columns["unitarity"][idx] = _unitarity(t, r, t_rev, r_rev)
+        columns["reciprocity"][idx] = _reciprocity(t, t_rev)
+        columns["flux_error"][idx] = _flux_error(t, r, t_rev, r_rev)
+        columns["threshold_flags"][idx] = [points[i].threshold_flag for i in idx]
     failures.sort(key=lambda f: f["index"])
     return columns, failures, stats
 
@@ -691,7 +678,7 @@ def energy_sweep(plan: SweepPlan) -> ConductanceCurve:
     else:
         parts = [_sweep_chunk(op, energies, plan.pair, plan.record_l)]
 
-    columns = {name: np.concatenate([p[0][name] for p in parts]) for name in _COLUMNS}
+    columns = {k: np.concatenate([p[0][k] for p in parts]) for k in parts[0][0]}
     failures: list = []
     stats: Counter = Counter()
     start = 0

@@ -411,3 +411,31 @@ def test_cmd_selftest_fault_injection():
 
 def test_missing_config_is_validation_error():
     assert cli.main(["sweep"]) == 1
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("sweep.record_l=-1", "sweep: record_l"),
+        ("numerics.spectrum_count=0", "numerics: spectrum_count"),
+    ],
+)
+@pytest.mark.parametrize("command", ["sweep", "spectrum"])
+def test_cmd_bad_count_exits_1_naming_field(tmp_path, capsys, override, field, command):
+    path = write_config(tmp_path, paper_config())
+    argv = [command, "--config", str(path), "--out", str(tmp_path), "--set", override]
+    assert cli.main(argv) == 1
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.glob("run_*"))
+
+
+def test_cmd_spectrum_count_bounded_by_grid(tmp_path, capsys):
+    path = write_config(tmp_path, paper_config())
+    argv = ["spectrum", "--config", str(path), "--out", str(tmp_path)]
+    argv += ["--set", "numerics.grid_n1=4", "--set", "numerics.grid_n2=4"]
+    assert cli.main(argv + ["--set", "numerics.spectrum_count=16"]) == 1
+    assert "spectrum_count = 16 must be below" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run_*"))
+    assert cli.main(argv + ["--set", "numerics.spectrum_count=15"]) == 0
+    header, data = read_csv(tmp_path / "run_spectrum.csv")
+    assert data.shape[0] == 15

@@ -1,9 +1,10 @@
-"""Property tests of the screw-run fold against the explicit slice recursion.
+"""Property tests of the screw-run fold and of the stacked observables.
 
-Each example draws a helical window (corrugation depth, sense of the helix,
-taper, length in pitches) and an energy, then checks the folded sweep against
-``rgf_smatrix`` and against the invariants it must keep: unitarity,
-reciprocity and the kappa -> -kappa mirror.
+Each fold example draws a helical window (corrugation depth, sense of the
+helix, taper, length in pitches) and an energy, then checks the folded sweep
+against ``rgf_smatrix`` and against the invariants it must keep: unitarity,
+reciprocity and the kappa -> -kappa mirror.  The observable kernels are drawn
+random complex blocks and must give the same bits on a stack as on each slice.
 """
 
 from collections import Counter
@@ -56,15 +57,15 @@ def test_fold_matches_explicit_recursion(window, e_rel):
     assume(off_threshold(e_rel))
     o = window_operator(**window)
     e1 = e_rel + VG
-    folded = tr._smatrices(o, [tr._prepare(o, e1)], Counter())[0]
+    folded = tr._smatrices(o, [tr._prepare(o, e1)], Counter())
     explicit = tr.rgf_smatrix(o, e1)
-    for name in ("t", "r", "t_reverse", "r_reverse"):
+    for name, block in zip(("t", "r", "t_reverse", "r_reverse"), folded):
         np.testing.assert_allclose(
-            getattr(folded, name), getattr(explicit, name), rtol=0, atol=1e-10
+            block[0], getattr(explicit, name), rtol=0, atol=1e-10
         )
-    # the sweep reports exactly the folded S-matrix
+    # the sweep reports exactly the folded blocks
     curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=[e1]))
-    assert curve.sigma_total[0] == tr.conductance(folded)[0]
+    assert curve.sigma_total[0] == np.sum(np.abs(folded[0][0]) ** 2)
 
 
 @given(window=windows, e_rel=energies)
@@ -89,3 +90,36 @@ def test_folded_sweep_mirror_under_kappa_reversal(window, e_rel):
     np.testing.assert_allclose(
         curve.sigma_modes[0], mirror.sigma_modes[0][::-1, ::-1], rtol=0, atol=1e-9
     )
+
+
+@given(
+    n_open=st.integers(0, 5),
+    n_e=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    pair=st.integers(1, 3),
+    opaque=st.booleans(),
+)
+def test_observable_kernels_stack_like_slices(n_open, n_e, seed, pair, opaque):
+    rng = np.random.default_rng(seed)
+    shape = (n_e, n_open, n_open)
+    t, r, t_rev, r_rev = (
+        rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(4)
+    )
+    if opaque:  # nothing transmitted at the first energy
+        t[0] = t_rev[0] = 0.0
+    modes = np.arange(n_open) - n_open // 2
+    kernels = {
+        "transmission": lambda t, r, t_rev, r_rev: tr._transmission(t),
+        "unitarity": tr._unitarity,
+        "flux_error": tr._flux_error,
+        "reciprocity": lambda t, r, t_rev, r_rev: tr._reciprocity(t, t_rev),
+        "polarization": lambda t, r, t_rev, r_rev: tr._polarization(t, modes, pair),
+    }
+    for name, kernel in kernels.items():
+        stacked = kernel(t, r, t_rev, r_rev)
+        assert stacked.shape == (n_e,), name
+        for i in range(n_e):
+            single = kernel(t[i], r[i], t_rev[i], r_rev[i])
+            np.testing.assert_array_equal(stacked[i], single, err_msg=name)
+    if opaque:
+        assert np.isnan(tr._polarization(t, modes, pair)[0])

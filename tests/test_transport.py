@@ -295,9 +295,21 @@ def test_polarization_bounds():
         assert abs(tr.polarization(s)) <= 1.0 + 1e-12
 
 
+def test_polarization_rejects_unknown_side():
+    s = tr.rgf_smatrix(homogeneous_operator(), 2.0)
+    with pytest.raises(ValueError, match="side"):
+        tr.polarization(s, side="rigth")
+
+
 # ---------------------------------------------------------------------------
 # scattering densities
 # ---------------------------------------------------------------------------
+
+
+def test_density_rejects_unknown_side():
+    o = homogeneous_operator(length=2.0)
+    with pytest.raises(ValueError, match="side"):
+        tr.scattering_density(o, 2.0, l_incident=1, side="Left")
 
 
 def test_density_homogeneous_is_uniform():
@@ -432,6 +444,57 @@ def test_sweep_parallel_matches_serial_bitwise():
     np.testing.assert_array_equal(serial.sigma_modes, parallel.sigma_modes)
 
 
+def per_point_columns(s, pair, record_l):
+    """One point's sweep columns, mapped entry by entry from the single-energy
+    S-matrix: the conductance table loop and the record_l window fill."""
+    sig = np.zeros((2 * record_l + 1, 2 * record_l + 1))
+    for ci, l_in in enumerate(s.open_modes):
+        for ri, l_out in enumerate(s.open_modes):
+            if abs(l_in) <= record_l and abs(l_out) <= record_l:
+                sig[l_in + record_l, l_out + record_l] = np.abs(s.t[ri, ci]) ** 2
+    try:
+        p = tr.polarization(s, pair=pair, side="right")
+    except UndefinedPolarizationError:
+        p = np.nan
+    return {
+        "sigma_total": tr.conductance(s)[0],
+        "sigma_modes": sig,
+        "p_lz": p,
+        "n_open": s.n_open,
+        "unitarity": s.unitarity_residual(),
+        "reciprocity": s.reciprocity_residual(),
+        "flux_error": s.flux_error(),
+        "threshold_flags": s.threshold_flag,
+    }
+
+
+@pytest.mark.parametrize("record_l", [0, 2, 6])
+def test_sweep_columns_match_per_point_mapping(record_l):
+    # stacked observables against the single-energy API on the same folded
+    # blocks: no open channel, a threshold point, 3 and 5 open modes, and
+    # record windows narrower and wider (6 > l_max) than the open set
+    o = helical_operator(pitches=4.0, l_max=4)
+    energies = np.array([-0.3, 0.4, 1.0, 1.9, 2.8, 4.05, 4.3]) + VG
+    with pytest.warns(ThresholdProximityWarning):
+        curve = tr.energy_sweep(
+            tr.SweepPlan(op=o, energies=energies, pair=1, record_l=record_l)
+        )
+        points = [tr._prepare(o, e1) for e1 in energies]
+    assert curve.failures == []
+    assert list(curve.n_open) == [0, 1, 1, 3, 3, 5, 5]
+    assert list(curve.threshold_flags) == [False, False, True] + [False] * 4
+    for i, point in enumerate(points):
+        blocks = [b[0] for b in tr._smatrices(o, [point], Counter())]
+        s = tr.SMatrix(point.e1, point.open_modes, *blocks, point.threshold_flag)
+        for name, ref in per_point_columns(s, 1, record_l).items():
+            np.testing.assert_allclose(
+                getattr(curve, name)[i], ref, rtol=0, atol=1e-15, err_msg=name
+            )
+    assert curve.sigma_total[0] == 0.0 and np.all(curve.sigma_modes[0] == 0.0)
+    assert np.isnan(curve.p_lz[0])
+    assert curve.unitarity[0] == curve.reciprocity[0] == curve.flux_error[0] == 0.0
+
+
 def test_batched_smatrix_matches_sparse_solve():
     # forward-only corner recursion against the sparse direct solve of the
     # whole device, on a grid from below the band bottom (no open channel)
@@ -443,11 +506,11 @@ def test_batched_smatrix_matches_sparse_solve():
         s = tr.rgf_smatrix(o, e1)
         point, psi = tr._scattering_solution(o, e1)
         idx = point.open_idx
-        ref = tr._boundary_smatrix(o, point, psi[0][idx], psi[-1][idx])
-        np.testing.assert_array_equal(s.open_modes, ref.open_modes)
-        for name in ("t", "r", "t_reverse", "r_reverse"):
+        ref = tr._boundary_blocks([point], psi[0][idx][None], psi[-1][idx][None])
+        np.testing.assert_array_equal(s.open_modes, point.open_modes)
+        for name, block in zip(("t", "r", "t_reverse", "r_reverse"), ref):
             np.testing.assert_allclose(
-                getattr(s, name), getattr(ref, name), rtol=0, atol=1e-12
+                getattr(s, name), block[0], rtol=0, atol=1e-12
             )
         n_open.append(s.n_open)
     assert n_open == [0, 1, 1, 3, 3, 3, 3, 5, 5]
@@ -482,11 +545,11 @@ def test_fold_exact_at_eigenvalues_of_the_isolated_run():
     eigs = eigs[(eigs > VG + 0.05) & (eigs < VG + 4.4)]
     assert eigs.size >= 3
     for e1 in eigs:
-        folded = tr._smatrices(o, [tr._prepare(o, e1)], Counter())[0]
+        folded = tr._smatrices(o, [tr._prepare(o, e1)], Counter())
         explicit = tr.rgf_smatrix(o, e1)
-        for name in ("t", "r", "t_reverse", "r_reverse"):
+        for name, block in zip(("t", "r", "t_reverse", "r_reverse"), folded):
             np.testing.assert_allclose(
-                getattr(folded, name), getattr(explicit, name), rtol=0, atol=1e-10
+                block[0], getattr(explicit, name), rtol=0, atol=1e-10
             )
 
 
