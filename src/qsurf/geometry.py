@@ -280,52 +280,29 @@ def cylinder_chart(
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     r = float(radius)
-    if arclength:
+    c = r if arclength else 1.0  # the first coordinate is c * theta
 
-        def pos(x, z):
-            x, z = np.asarray(x, float), np.asarray(z, float)
-            return _vec3(r * np.cos(x / r), r * np.sin(x / r), z)
+    def pos(x, z):
+        x, z = np.asarray(x, float), np.asarray(z, float)
+        return _vec3(r * np.cos(x / c), r * np.sin(x / c), z)
 
-        def jac(x, z):
-            x, z = np.asarray(x, float), np.asarray(z, float)
-            zero = np.zeros_like(x * z)
-            d1 = _vec3(-np.sin(x / r), np.cos(x / r), zero)
-            d2 = _vec3(zero, zero, np.ones_like(zero))
-            return np.stack([d1, d2], axis=-1)
+    def jac(x, z):
+        x, z = np.asarray(x, float), np.asarray(z, float)
+        zero = np.zeros_like(x * z)
+        d1 = _vec3(-(r / c) * np.sin(x / c), (r / c) * np.cos(x / c), zero)
+        d2 = _vec3(zero, zero, np.ones_like(zero))
+        return np.stack([d1, d2], axis=-1)
 
-        def hess(x, z):
-            x, z = np.asarray(x, float), np.asarray(z, float)
-            zero = np.zeros_like(x * z)
-            h11 = _vec3(-np.cos(x / r) / r, -np.sin(x / r) / r, zero)
-            hz = _vec3(zero, zero, zero)
-            row1 = np.stack([h11, hz], axis=-2)
-            row2 = np.stack([hz, hz], axis=-2)
-            return np.stack([row1, row2], axis=-3)
+    def hess(x, z):
+        x, z = np.asarray(x, float), np.asarray(z, float)
+        zero = np.zeros_like(x * z)
+        h11 = _vec3(-(r / c**2) * np.cos(x / c), -(r / c**2) * np.sin(x / c), zero)
+        hz = _vec3(zero, zero, zero)
+        row1 = np.stack([h11, hz], axis=-2)
+        row2 = np.stack([hz, hz], axis=-2)
+        return np.stack([row1, row2], axis=-3)
 
-        domain = ((0.0, 2.0 * np.pi * r), (float(z_extent[0]), float(z_extent[1])))
-    else:
-
-        def pos(theta, z):
-            theta, z = np.asarray(theta, float), np.asarray(z, float)
-            return _vec3(r * np.cos(theta), r * np.sin(theta), z)
-
-        def jac(theta, z):
-            theta, z = np.asarray(theta, float), np.asarray(z, float)
-            zero = np.zeros_like(theta * z)
-            d1 = _vec3(-r * np.sin(theta), r * np.cos(theta), zero)
-            d2 = _vec3(zero, zero, np.ones_like(zero))
-            return np.stack([d1, d2], axis=-1)
-
-        def hess(theta, z):
-            theta, z = np.asarray(theta, float), np.asarray(z, float)
-            zero = np.zeros_like(theta * z)
-            h11 = _vec3(-r * np.cos(theta), -r * np.sin(theta), zero)
-            hz = _vec3(zero, zero, zero)
-            row1 = np.stack([h11, hz], axis=-2)
-            row2 = np.stack([hz, hz], axis=-2)
-            return np.stack([row1, row2], axis=-3)
-
-        domain = ((0.0, 2.0 * np.pi), (float(z_extent[0]), float(z_extent[1])))
+    domain = ((0.0, 2.0 * np.pi * c), (float(z_extent[0]), float(z_extent[1])))
 
     return SurfaceChart(
         kind="cylinder",

@@ -7,8 +7,9 @@ Two forms are produced:
   2D problem into coupled 1D lattices along z, block-tridiagonal with
   hopping -1/dz^2 * I;
 * a sparse 2D real-space operator on a general chart for closed-system
-  spectra, built from the flux-conservative form of the Laplace-Beltrami
-  operator plus the effective potential.
+  spectra: the flux form sum_a D_a^T W_a D_a of the Laplace-Beltrami
+  operator, with per-axis difference matrices D_a closed by a periodic wrap,
+  Dirichlet walls or no flux ("natural"), plus the effective potential.
 
 Everything is in natural units (hbar = 1, 2m = 1, lengths a, energies e0).
 """
@@ -485,15 +486,8 @@ class Grid2D:
 
     q1: np.ndarray
     q2: np.ndarray
-    h1: float
-    h2: float
     bc: tuple[str, str]
-    mass: np.ndarray  # (n1*n2,) measure weights sqrt(g) h1 h2
     v_min: float  # nodal potential minimum; spectral lower bound of H
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.q1.size, self.q2.size
 
 
 def _axis_nodes(lo: float, hi: float, n: int, closure: str):
@@ -512,6 +506,26 @@ def _axis_nodes(lo: float, hi: float, n: int, closure: str):
     return nodes, h
 
 
+def _differences(nodes: np.ndarray, h: float, lo: float, hi: float, closure: str):
+    """Face positions of one grid axis and its (faces x nodes) difference matrix.
+
+    Row f is psi[right] - psi[left] across face f.  Every closure has the
+    interior faces.  "periodic" adds the wrap face from the last node to the
+    first.  "dirichlet" adds a wall face at each end; the ghost node beyond it
+    is zero, so a wall row has a single entry.  "natural" (zero flux) adds
+    nothing.
+    """
+    e = sp.identity(nodes.size, format="csr")
+    faces, d = 0.5 * (nodes[:-1] + nodes[1:]), e[1:] - e[:-1]
+    if closure == "periodic":
+        faces = np.append(faces, nodes[-1] + 0.5 * h)
+        d = sp.vstack([d, e[0] - e[-1]])
+    elif closure == "dirichlet":
+        faces = np.append(faces, [lo + 0.5 * h, hi - 0.5 * h])
+        d = sp.vstack([d, e[0], -e[-1]])
+    return faces, d.tocsr()
+
+
 def assemble_2d(
     chart: SurfaceChart,
     profile: Optional[ConfinementProfile] = None,
@@ -522,12 +536,16 @@ def assemble_2d(
 ):
     """Sparse Hermitian 2D Hamiltonian on the chart's domain box.
 
-    The kinetic part is the flux-conservative stencil of
-    -(1/sqrt(g)) d_a sqrt(g) g^{ab} d_b with metric coefficients at half-grid
-    points (a 5-point stencil; 9-point corner terms appear when g is
-    non-diagonal); the potential is V_g + (s-1) E0 on the diagonal.  The
-    operator is symmetrized by similarity with the measure weights g^{1/4}
-    (generalized problem A psi = E M psi recast as M^{-1/2} A M^{-1/2}).
+    Flux form of -(1/sqrt(g)) d_a sqrt(g) g^{ab} d_b + V: with D_a the
+    difference matrix of axis a (:func:`_differences`), metric coefficients
+    at its faces and the measure m = sqrt(g) h1 h2 at the nodes,
+
+        A = sum_a D_a^T diag(sqrt(g) g^{aa} h_b / h_a) D_a + diag(V m).
+
+    A non-diagonal metric adds D_1^T diag(sqrt(g) g^{12} / 4) D_2 + transpose
+    on the cell corners, where D_a differences axis a and sums the other axis
+    (no wall rows).  V = V_g + (s-1) E0.  The generalized problem
+    A psi = E M psi is recast as H = M^{-1/2} A M^{-1/2}.
 
     Returns (H, grid) with H in CSR format, exactly symmetric.
     """
@@ -540,131 +558,50 @@ def assemble_2d(
         return np.sqrt(g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 0, 1])
 
     def flux_coefficients(a, b):
-        """sqrt(g) g^{11}, sqrt(g) g^{12} and sqrt(g) g^{22} at the points (a, b)."""
-        g = metric(chart, (a, b))
+        """sqrt(g) g^{11}, sqrt(g) g^{12} and sqrt(g) g^{22} on the grid a x b."""
+        g = metric(chart, tuple(np.meshgrid(a, b, indexing="ij"))).reshape(-1, 2, 2)
         sq = sqrt_det(g)
-        return g[..., 1, 1] / sq, -g[..., 0, 1] / sq, g[..., 0, 0] / sq
+        return g[:, 1, 1] / sq, -g[:, 0, 1] / sq, g[:, 0, 0] / sq
 
     qq1, qq2 = np.meshgrid(q1, q2, indexing="ij")
     g_n = metric(chart, (qq1, qq2))
     mass = (sqrt_det(g_n) * h1 * h2).ravel()
 
-    def node_id(i, j):
-        return i * n2 + j
+    faces1, d1 = _differences(q1, h1, a1, b1, bc[0])
+    faces2, d2 = _differences(q2, h2, a2, b2, bc[1])
+    grad = sp.vstack(
+        [sp.kron(d1, sp.identity(n2)), sp.kron(sp.identity(n1), d2)], format="csr"
+    )
+    w1 = flux_coefficients(faces1, q2)[0] * (h2 / h1)
+    w2 = flux_coefficients(q1, faces2)[2] * (h1 / h2)
+    a = grad.T @ grad.multiply(np.concatenate([w1, w2])[:, None])
 
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(v.ravel())
-
-    ii = np.arange(n1)
-    jj = np.arange(n2)
-
-    # axis-1 fluxes: edges between (i, j) and (i+1, j) with wrap/walls per bc
-    left = ii[:-1]
-    right = ii[1:]
-    faces1 = 0.5 * (q1[left] + q1[right])
-    if bc[0] == "periodic":
-        left = np.concatenate([left, [n1 - 1]])
-        right = np.concatenate([right, [0]])
-        faces1 = np.concatenate([faces1, [q1[-1] + 0.5 * h1]])
-    f1, f2 = np.meshgrid(faces1, q2, indexing="ij")
-    w = flux_coefficients(f1, f2)[0] * (h2 / h1)  # sqrt(g) g^{11} * h2/h1
-    p = node_id(left[:, None], jj[None, :])
-    q = node_id(right[:, None], jj[None, :])
-    add(p, p, w)
-    add(q, q, w)
-    add(p, q, -w)
-    add(q, p, -w)
-    if bc[0] == "dirichlet":
-        for i_node, face in ((0, a1 + 0.5 * h1), (n1 - 1, b1 - 0.5 * h1)):
-            ww = flux_coefficients(np.full(n2, face), q2)[0] * (h2 / h1)
-            pw = node_id(np.full(n2, i_node), jj)
-            add(pw, pw, ww)
-
-    # axis-2 fluxes
-    lo = jj[:-1]
-    hi = jj[1:]
-    faces2 = 0.5 * (q2[lo] + q2[hi])
-    if bc[1] == "periodic":
-        lo = np.concatenate([lo, [n2 - 1]])
-        hi = np.concatenate([hi, [0]])
-        faces2 = np.concatenate([faces2, [q2[-1] + 0.5 * h2]])
-    f1, f2 = np.meshgrid(q1, faces2, indexing="ij")
-    w = flux_coefficients(f1, f2)[2] * (h1 / h2)  # sqrt(g) g^{22} * h1/h2
-    p = node_id(ii[:, None], lo[None, :])
-    q = node_id(ii[:, None], hi[None, :])
-    add(p, p, w)
-    add(q, q, w)
-    add(p, q, -w)
-    add(q, p, -w)
-    if bc[1] == "dirichlet":
-        for j_node, face in ((0, a2 + 0.5 * h2), (n2 - 1, b2 - 0.5 * h2)):
-            ww = flux_coefficients(q1, np.full(n1, face))[2] * (h1 / h2)
-            pw = node_id(ii, np.full(n1, j_node))
-            add(pw, pw, ww)
-
-    # mixed term (9-point) when the metric is non-diagonal
     if np.max(np.abs(g_n[..., 0, 1])) > 1e-14 * max(
         1.0, float(np.max(np.abs(g_n[..., 0, 0])))
     ):
-        li = ii[:-1]
-        ri = ii[1:]
-        if bc[0] == "periodic":
-            li = np.concatenate([li, [n1 - 1]])
-            ri = np.concatenate([ri, [0]])
-        lj = jj[:-1]
-        hj = jj[1:]
-        if bc[1] == "periodic":
-            lj = np.concatenate([lj, [n2 - 1]])
-            hj = np.concatenate([hj, [0]])
-        c1 = q1[li] + 0.5 * h1
-        c2 = q2[lj] + 0.5 * h2
-        cc1, cc2 = np.meshgrid(c1, c2, indexing="ij")
-        wc = flux_coefficients(cc1, cc2)[1] * (h1 * h2)  # sqrt(g) g^{12} * h1 h2
-        p00 = node_id(li[:, None], lj[None, :])
-        p10 = node_id(ri[:, None], lj[None, :])
-        p01 = node_id(li[:, None], hj[None, :])
-        p11 = node_id(ri[:, None], hj[None, :])
-        corners = (p00, p10, p01, p11)
-        avec = np.array([-1.0, 1.0, -1.0, 1.0]) / (2.0 * h1)
-        bvec = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * h2)
-        cmat = np.outer(avec, bvec) + np.outer(bvec, avec)
-        for a in range(4):
-            for b in range(4):
-                if cmat[a, b] != 0.0:
-                    add(corners[a], corners[b], wc * cmat[a, b])
+        # corners have no wall rows: a Dirichlet axis is natural there
+        open_bc = ["natural" if c == "dirichlet" else c for c in bc]
+        c1, e1 = _differences(q1, h1, a1, b1, open_bc[0])
+        c2, e2 = _differences(q2, h2, a2, b2, open_bc[1])
+        # corner differences are sums of two, scaled by 1/(2 h_a): with the
+        # cell area h1 h2 that leaves sqrt(g) g^{12} / 4
+        w = flux_coefficients(c1, c2)[1] / 4.0
+        mixed = sp.kron(e1, abs(e2)).T @ sp.diags(w) @ sp.kron(abs(e1), e2)
+        a = a + (mixed + mixed.T)  # grouped so that a stays exactly symmetric
 
-    # effective potential on the diagonal
     v_node = geometric_potential(chart, (qq1, qq2))
     if profile is not None and profile.kind != "homogeneous":
         if well is None:
             raise ValueError("a transverse well is required with a profile")
         e0 = transverse_ground_energy(well)
         v_node = v_node + (profile(qq1, qq2) - 1.0) * e0
-    diag_ids = np.arange(n1 * n2)
-    add(diag_ids, diag_ids, v_node.ravel() * mass)
+    h = (a + sp.diags(v_node.ravel() * mass)).tocsr()
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
     inv_sqrt_m = 1.0 / np.sqrt(mass)
+    rows = np.repeat(np.arange(n1 * n2), np.diff(h.indptr))
     # parenthesized so transposed entries scale by the bitwise-identical factor
-    vals = vals * (inv_sqrt_m[rows] * inv_sqrt_m[cols])
-
-    h = sp.coo_matrix((vals, (rows, cols)), shape=(n1 * n2, n1 * n2)).tocsr()
-    grid = Grid2D(
-        q1=q1,
-        q2=q2,
-        h1=h1,
-        h2=h2,
-        bc=bc,
-        mass=mass,
-        v_min=float(np.min(v_node)),
-    )
-    return h, grid
+    h.data *= inv_sqrt_m[rows] * inv_sqrt_m[h.indices]
+    return h, Grid2D(q1=q1, q2=q2, bc=bc, v_min=float(np.min(v_node)))
 
 
 def lowest_eigenvalues_2d(h: sp.csr_matrix, k: int, sigma: float) -> np.ndarray:

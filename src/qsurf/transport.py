@@ -747,14 +747,30 @@ def sweep_energies(
 
     Points falling within 1e-9 of a threshold are shifted up by half a grid
     step, or down where up would leave the range (thresholds are flagged,
-    never interpolated over).
+    never interpolated over).  Where that lands near a threshold again, or
+    not strictly between the point's neighbours, the point moves instead to
+    the middle of the widest threshold-free stretch between its neighbours.
     """
     if n_points < 1 or e_max <= e_min:
         raise ValueError("need e_max > e_min and at least one point")
+    thresholds = np.asarray(thresholds, dtype=float)
     grid = np.linspace(e_min, e_max, n_points)
     step = (e_max - e_min) / max(n_points - 1, 1)
+
+    def near_threshold(e):
+        return np.min(np.abs(e - thresholds)) < THRESHOLD_ATOL
+
     for i, e in enumerate(grid):
-        if np.min(np.abs(e - thresholds)) < THRESHOLD_ATOL:
-            up = e + 0.5 * step
-            grid[i] = up if up <= e_max else e - 0.5 * step
+        if not near_threshold(e):
+            continue
+        lo = grid[i - 1] if i > 0 else e_min
+        hi = grid[i + 1] if i + 1 < n_points else e_max
+        up = e + 0.5 * step
+        nudged = up if up <= e_max else e - 0.5 * step
+        if near_threshold(nudged) or not lo < nudged < hi:
+            inside = thresholds[(thresholds > lo) & (thresholds < hi)]
+            edges = np.concatenate([[lo], np.sort(inside), [hi]])
+            k = int(np.argmax(np.diff(edges)))
+            nudged = 0.5 * (edges[k] + edges[k + 1])
+        grid[i] = nudged
     return grid

@@ -1,6 +1,10 @@
 """Config schema, validation, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,6 +404,31 @@ def test_cmd_selftest_passes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5 and all(ln.startswith("PASS") for ln in lines)
     assert lines[-1].startswith("PASS  sweep_fold_equivalence:")
+
+
+def test_python_m_qsurf_runs_uninstalled(tmp_path):
+    # a checkout on PYTHONPATH runs the command line as python -m qsurf,
+    # with the command's exit code
+    cfg = paper_config()
+    cfg.numerics.grid_n1, cfg.numerics.grid_n2 = 3, 4
+    path = write_config(tmp_path, cfg)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qsurf", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    done = run("curvature", "--config", str(path), "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    header, data = read_csv(tmp_path / "run_curvature.csv")
+    assert data.shape == (12, len(header))
+    assert run("curvature").returncode == 1  # no --config
 
 
 def test_cmd_selftest_fault_injection():

@@ -420,14 +420,37 @@ def test_2d_flat_box_spectrum():
     assert np.max(np.abs(vals - exact) / exact) < 0.005
 
 
+def _wavy_sheared_sheet(x, y):
+    # non-orthogonal chart whose g^{12} varies from cell to cell
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    z = 0.2 * np.sin(2.0 * x) * np.cos(y)
+    return np.stack(np.broadcast_arrays(x + 0.3 * y, y, z), axis=-1)
+
+
 def test_2d_matrix_exactly_symmetric():
     for chart in (
         geo.plane_chart(extent=(1.0, 1.0), shear=0.4),
         geo.sphere_chart(),
         geo.cylinder_chart(z_extent=(0.0, 3.0)),
+        geo.torus_chart(),
+        geo.from_position_map(_wavy_sheared_sheet, ((0.0, 1.0), (0.0, 1.5))),
     ):
         h, _ = op.assemble_2d(chart, n1=40, n2=40)
         assert abs(h - h.T).max() == 0.0
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (1, 1), (2, -3), (-5, 4), (6, 4)])
+def test_2d_periodic_plane_waves_are_eigenvectors(m, n):
+    # on a sheared flat torus the stencil, mixed term included, is the same at
+    # every node, across both wraps too, so grid plane waves diagonalize it
+    chart = geo.plane_chart(extent=(1.0, 1.3), shear=0.4)
+    n1, n2 = 12, 9
+    h, _ = op.assemble_2d(chart, n1=n1, n2=n2, bc=("periodic", "periodic"))
+    i, j = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    v = np.exp(2j * np.pi * (m * i / n1 + n * j / n2)).ravel()
+    hv = h @ v
+    rayleigh = np.vdot(v, hv) / np.vdot(v, v)
+    assert np.max(np.abs(hv - rayleigh * v)) <= 1e-12 * abs(h).max()
 
 
 def test_2d_sphere_spectrum_multiplets():

@@ -5,6 +5,8 @@ helix, taper, length in pitches) and an energy, then checks the folded sweep
 against ``rgf_smatrix`` and against the invariants it must keep: unitarity,
 reciprocity and the kappa -> -kappa mirror.  The observable kernels are drawn
 random complex blocks and must give the same bits on a stack as on each slice.
+The sweep energy grid must stay increasing, inside its range and clear of
+every channel threshold.
 """
 
 from collections import Counter
@@ -123,3 +125,27 @@ def test_observable_kernels_stack_like_slices(n_open, n_e, seed, pair, opaque):
             np.testing.assert_array_equal(stacked[i], single, err_msg=name)
     if opaque:
         assert np.isnan(tr._polarization(t, modes, pair)[0])
+
+
+@given(
+    e_min=st.floats(-5.0, 5.0),
+    width=st.floats(0.01, 10.0),
+    n_points=st.integers(1, 60),
+    half_steps=st.lists(st.integers(0, 120), min_size=1, max_size=6),
+    anywhere=st.lists(st.floats(0.0, 1.0), max_size=4),
+)
+def test_sweep_energies_increasing_inside_and_clear(
+    e_min, width, n_points, half_steps, anywhere
+):
+    # thresholds on grid points and on the half-step nudge targets force
+    # every branch of the nudging; the others fall anywhere in the range
+    e_max = e_min + width
+    step = width / max(n_points - 1, 1)
+    on_grid = [e_min + 0.5 * (k % (2 * n_points - 1)) * step for k in half_steps]
+    thresholds = np.array(on_grid + [e_min + f * width for f in anywhere] + [e_max])
+    grid = tr.sweep_energies(e_min, e_max, n_points, thresholds)
+    assert grid.shape == (n_points,)
+    assert np.all(np.diff(grid) > 0)
+    assert grid[0] >= e_min and grid[-1] <= e_max
+    assert np.min(np.abs(grid[:, None] - thresholds[None, :])) >= 1e-9
+

@@ -634,6 +634,22 @@ def test_sweep_energies_stay_inside_range():
     np.testing.assert_array_equal(grid, expected)
 
 
+@pytest.mark.parametrize(
+    "e_min, e_max, n_points, thresholds",
+    [
+        (0.0, 4.0, 3, [0.0, 1.0, 4.0, 9.0]),  # half a step up from 0 is 1
+        (0.0, 1.0, 2, [0.0, 1.0]),  # both ends nudged onto the midpoint
+    ],
+)
+def test_sweep_energies_nudge_lands_clear_and_between_neighbours(
+    e_min, e_max, n_points, thresholds
+):
+    grid = tr.sweep_energies(e_min, e_max, n_points, np.array(thresholds))
+    assert np.min(np.abs(grid[:, None] - np.array(thresholds))) >= 1e-9
+    assert np.all(np.diff(grid) > 0)
+    assert grid.min() >= e_min and grid.max() <= e_max
+
+
 def test_mode_cutoff_stability():
     # enlarging the basis by one coupling shell moves conductance < 1e-4
     for l_max in (6,):
