@@ -108,12 +108,12 @@ def cmd_curvature(args) -> int:
     qq1, qq2 = np.meshgrid(q1, q2, indexing="ij")
     try:
         data = geometry.curvature(chart, (qq1, qq2))
-        vg = geometry.geometric_potential(chart, (qq1, qq2))
     except QsurfError as exc:
         raise NumericalError(f"curvature evaluation failed: {exc}") from exc
     out = _outdir(args) / f"{cfg.output.prefix}_curvature.csv"
     header = ["q1[a]", "q2[a or rad]", "M[1/a]", "K[1/a^2]", "Vg[e0]"]
-    _write_csv(out, header, [q1[:, None], q2[None, :], data.mean, data.gaussian, vg])
+    columns = [q1[:, None], q2[None, :], data.mean, data.gaussian, data.potential]
+    _write_csv(out, header, columns)
     print(f"wrote {out}")
     return 0
 

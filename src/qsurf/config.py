@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -102,7 +103,7 @@ _FIELD_TYPES = {cls: get_type_hints(cls) for cls in _SECTIONS.values()}
 
 _TYPE_NAMES = {
     int: "an integer",
-    float: "a number",
+    float: "a finite number",
     bool: "true or false",
     str: "a string",
     dict: "an object",
@@ -113,8 +114,8 @@ _TYPE_NAMES = {
 def _fits(value, tp) -> bool:
     if get_origin(tp) is Union:
         return any(_fits(value, arg) for arg in get_args(tp))
-    if tp is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is float:  # rejects the NaN, Infinity and huge ints json.loads yields
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
     if tp is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, tp)
@@ -359,7 +360,7 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
             f"numerics: spectrum_count must be at least 1, got {num.spectrum_count}"
         )
 
-    thresholds_rel = (basis.modes / radius) ** 2
+    thresholds_rel = basis.threshold(basis.modes, include_vg=False)
     grid_rel = transport.sweep_energies(
         sw.e1_min + shift - band_bottom,
         sw.e1_max + shift - band_bottom,

@@ -181,9 +181,22 @@ def custom_profile(
     )
 
 
+def add_morphology(v, profile: Optional[ConfinementProfile], well, q1, q2):
+    """v + (s(q) - 1) * E0: the confinement-morphology term added to v  [e0].
+
+    Without a profile, or with a homogeneous one (s = 1), v comes back
+    unchanged and no well is needed; otherwise ``well`` is required.
+    """
+    if profile is None or profile.kind == "homogeneous":
+        return v
+    if well is None:
+        raise ValueError("a transverse well is required with a profile")
+    return v + (profile(q1, q2) - 1.0) * transverse_ground_energy(well)
+
+
 def effective_potential(
     profile: ConfinementProfile,
-    well: TransverseWell,
+    well: Optional[TransverseWell],
     chart: SurfaceChart,
     q,
 ):
@@ -191,11 +204,7 @@ def effective_potential(
 
     For a homogeneous profile this is exactly the curvature term.
     """
-    vg = geometric_potential(chart, q)
-    if profile.kind == "homogeneous":
-        return vg
-    e0 = transverse_ground_energy(well)
-    return vg + (profile(q[0], q[1]) - 1.0) * e0
+    return add_morphology(geometric_potential(chart, q), profile, well, q[0], q[1])
 
 
 def validate_profile(

@@ -8,8 +8,12 @@ and Gaussian curvature K.
 
 A surface is described by a position map ``r(q1, q2) -> R^3`` on a rectangular
 coordinate box.  Built-in charts (cylinder, sphere, torus, catenoid, plane)
-carry analytic first and second derivatives; user charts can be evaluated by
-second-order central finite differences of the position map alone.
+carry analytic first and second derivatives; ``as_fd()`` and user charts
+(``from_position_map``) use second-order central finite differences of the
+position map alone.
+
+Every evaluator runs the chart's Jacobian once on checked points; ``curvature``
+returns the metric, M, K and the potential -(M^2 - K) from that one evaluation.
 
 All evaluators broadcast over numpy arrays of coordinates; the scalar-point
 API is the same function called with scalars.
@@ -49,13 +53,12 @@ class SurfaceChart:
         outside the box (the map must be periodic there).
     orientation : {+1, -1}
         Sign applied to the normal ``d1_r x d2_r / |d1_r x d2_r|``.
-    mode : {"analytic", "fd"}
-        "analytic" uses the jacobian/hessian callbacks, "fd" differentiates
-        the position map with central differences.
     jacobian : callable, optional
         ``jacobian(q1, q2) -> (..., 3, 2)`` with columns d1_r, d2_r.
     hessian : callable, optional
         ``hessian(q1, q2) -> (..., 2, 2, 3)`` with H[a, b] = d_a d_b r.
+        Give both callbacks or neither; without them the chart is evaluated
+        by central finite differences of the position map.
     fd_step : (float, float), optional
         Finite-difference steps; defaults to 1e-4 of each axis extent.
     closure : (str, str), optional
@@ -69,7 +72,6 @@ class SurfaceChart:
     domain: tuple[tuple[float, float], tuple[float, float]]
     periodic: tuple[bool, bool] = (False, False)
     orientation: int = 1
-    mode: str = "analytic"
     jacobian: Optional[Callable] = None
     hessian: Optional[Callable] = None
     fd_step: Optional[tuple[float, float]] = None
@@ -78,17 +80,15 @@ class SurfaceChart:
     def __post_init__(self):
         if self.orientation not in (+1, -1):
             raise ValueError("orientation must be +1 or -1")
-        if self.mode not in ("analytic", "fd"):
-            raise ValueError("mode must be 'analytic' or 'fd'")
-        if self.mode == "analytic" and (self.jacobian is None or self.hessian is None):
-            raise ValueError("analytic mode requires jacobian and hessian callbacks")
+        if (self.jacobian is None) != (self.hessian is None):
+            raise ValueError("give both jacobian and hessian callbacks, or neither")
 
     def extent(self, axis: int) -> float:
         lo, hi = self.domain[axis]
         return hi - lo
 
     def steps(self) -> tuple[float, float]:
-        """Finite-difference steps actually used in 'fd' mode."""
+        """Finite-difference steps used when the chart has no callbacks."""
         if self.fd_step is not None:
             return self.fd_step
         return (
@@ -121,21 +121,33 @@ class SurfaceChart:
 
     def as_fd(self, fd_step: Optional[tuple[float, float]] = None) -> "SurfaceChart":
         """Copy of this chart evaluated by finite differences only."""
-        return replace(self, mode="fd", fd_step=fd_step)
+        return replace(self, jacobian=None, hessian=None, fd_step=fd_step)
 
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Shape information at a surface point (broadcasts over point batches).
+    """Shape information at surface point(s), from one evaluation of the chart.
 
+    metric : (..., 2, 2) first fundamental form g_ab the Weingarten matrix
+        was solved with; sqrt(det g) is the area element
     weingarten : (..., 2, 2) matrix a with d_a N = a_ab d_b r  [1/length]
     mean : Tr(a)/2  [1/length]
     gaussian : det(a)  [1/length^2]
     """
 
+    metric: np.ndarray
     weingarten: np.ndarray
     mean: np.ndarray
     gaussian: np.ndarray
+
+    @property
+    def potential(self) -> np.ndarray:
+        """Curvature-induced potential -(M^2 - K) in units of e0.
+
+        Always <= 0: M^2 - K = ((k1 - k2)/2)^2 is a square of the principal
+        curvature difference.  Tiny negative round-off in M^2 - K is clamped.
+        """
+        return -np.maximum(self.mean**2 - self.gaussian, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,27 +170,21 @@ def _jacobian_fd(chart: SurfaceChart, q1, q2) -> np.ndarray:
 
 
 def _jacobian(chart: SurfaceChart, q1, q2) -> np.ndarray:
-    if chart.mode == "analytic":
+    if chart.jacobian is not None:
         return np.asarray(chart.jacobian(q1, q2), dtype=float)
     return _jacobian_fd(chart, q1, q2)
 
 
-def metric(chart: SurfaceChart, q) -> np.ndarray:
-    """First fundamental form g_ab = d_a r . d_b r at point(s) q = (q1, q2).
+def _evaluate(chart: SurfaceChart, q):
+    """Checked coordinates, Jacobian and checked metric at point(s) q.
 
-    Returns a (..., 2, 2) symmetric positive-definite matrix.  Raises
-    DomainError outside the box and SingularChartError where the
+    Raises DomainError outside the box and SingularChartError where the
     parametrization degenerates.
     """
     q1, q2 = np.asarray(q[0], dtype=float), np.asarray(q[1], dtype=float)
     chart.check_point(q1, q2)
     jac = _jacobian(chart, q1, q2)
     g = np.einsum("...ia,...ib->...ab", jac, jac)
-    _check_metric(chart, g)
-    return g
-
-
-def _check_metric(chart: SurfaceChart, g: np.ndarray) -> None:
     g11 = g[..., 0, 0]
     g22 = g[..., 1, 1]
     det = g11 * g22 - g[..., 0, 1] * g[..., 1, 0]
@@ -188,14 +194,22 @@ def _check_metric(chart: SurfaceChart, g: np.ndarray) -> None:
             f"degenerate parametrization of chart '{chart.kind}' "
             f"(det g / (g11*g22) <= {_SINGULAR_RTOL})"
         )
+    return q1, q2, jac, g
+
+
+def metric(chart: SurfaceChart, q) -> np.ndarray:
+    """First fundamental form g_ab = d_a r . d_b r at point(s) q = (q1, q2).
+
+    Returns a (..., 2, 2) symmetric positive-definite matrix.  Raises
+    DomainError outside the box and SingularChartError where the
+    parametrization degenerates.
+    """
+    return _evaluate(chart, q)[3]
 
 
 def unit_normal(chart: SurfaceChart, q) -> np.ndarray:
     """Unit normal, oriented by the chart's orientation flag."""
-    q1, q2 = np.asarray(q[0], dtype=float), np.asarray(q[1], dtype=float)
-    chart.check_point(q1, q2)
-    jac = _jacobian(chart, q1, q2)
-    return _normal_from_jacobian(chart, jac)
+    return _normal_from_jacobian(chart, _evaluate(chart, q)[2])
 
 
 def _normal_from_jacobian(chart: SurfaceChart, jac: np.ndarray) -> np.ndarray:
@@ -219,21 +233,17 @@ def _normal_derivatives_fd(chart: SurfaceChart, q1, q2) -> np.ndarray:
 
 
 def curvature(chart: SurfaceChart, q) -> CurvatureData:
-    """Weingarten matrix and scalar curvatures at point(s) q.
+    """Metric, Weingarten matrix and scalar curvatures at point(s) q.
 
     The matrix a solves d_a N = a_ab d_b r.  It is extracted from the 2x2
     system (d_a N . d_b r) = a_ac g_cb, which needs one derivative order less
     than differentiating N twice.  Mean curvature is Tr(a)/2 and Gaussian
     curvature det(a); both signs follow the orientation flag except K, which
-    is orientation-independent.
+    is orientation-independent.  The chart's Jacobian and Hessian run once
+    each; a finite-difference chart differentiates the normal instead.
     """
-    q1, q2 = np.asarray(q[0], dtype=float), np.asarray(q[1], dtype=float)
-    chart.check_point(q1, q2)
-    jac = _jacobian(chart, q1, q2)
-    g = np.einsum("...ia,...ib->...ab", jac, jac)
-    _check_metric(chart, g)
-
-    if chart.mode == "analytic":
+    q1, q2, jac, g = _evaluate(chart, q)
+    if chart.hessian is not None:
         hess = np.asarray(chart.hessian(q1, q2), dtype=float)  # (..., 2, 2, 3)
         normal = _normal_from_jacobian(chart, jac)
         # (d_a N).(d_b r) = -N.(d_a d_b r)
@@ -246,18 +256,13 @@ def curvature(chart: SurfaceChart, q) -> CurvatureData:
     alpha = np.swapaxes(np.linalg.solve(g, np.swapaxes(b, -1, -2)), -1, -2)
     mean = 0.5 * (alpha[..., 0, 0] + alpha[..., 1, 1])
     gauss = alpha[..., 0, 0] * alpha[..., 1, 1] - alpha[..., 0, 1] * alpha[..., 1, 0]
-    return CurvatureData(weingarten=alpha, mean=mean, gaussian=gauss)
+    return CurvatureData(metric=g, weingarten=alpha, mean=mean, gaussian=gauss)
 
 
 def geometric_potential(chart: SurfaceChart, q):
-    """Curvature-induced potential -(M^2 - K) in units of e0.
-
-    Always <= 0: M^2 - K = ((k1 - k2)/2)^2 is a square of the principal
-    curvature difference.  Tiny negative round-off in M^2 - K is clamped.
-    """
-    data = curvature(chart, q)
-    m2k = data.mean**2 - data.gaussian
-    return -np.maximum(m2k, 0.0)
+    """Curvature-induced potential -(M^2 - K) in units of e0 (see
+    :attr:`CurvatureData.potential`)."""
+    return curvature(chart, q).potential
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +274,18 @@ def _vec3(x, y, z):
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1).astype(float)
 
 
+def _hessian(h11, h12, h22):
+    """Stack the second derivatives d_a d_b r into (..., 2, 2, 3)."""
+    row1 = np.stack([h11, h12], axis=-2)
+    row2 = np.stack([h12, h22], axis=-2)
+    return np.stack([row1, row2], axis=-3)
+
+
 def cylinder_chart(
     radius: float = 1.0,
     z_extent: tuple[float, float] = (0.0, 10.0),
     arclength: bool = False,
     orientation: int = 1,
-    mode: str = "analytic",
 ) -> SurfaceChart:
     """Cylinder of given radius; coordinates (theta, z) or arclength (r*theta, z)."""
     if radius <= 0.0:
@@ -298,9 +309,7 @@ def cylinder_chart(
         zero = np.zeros_like(x * z)
         h11 = _vec3(-(r / c**2) * np.cos(x / c), -(r / c**2) * np.sin(x / c), zero)
         hz = _vec3(zero, zero, zero)
-        row1 = np.stack([h11, hz], axis=-2)
-        row2 = np.stack([hz, hz], axis=-2)
-        return np.stack([row1, row2], axis=-3)
+        return _hessian(h11, hz, hz)
 
     domain = ((0.0, 2.0 * np.pi * c), (float(z_extent[0]), float(z_extent[1])))
 
@@ -310,15 +319,12 @@ def cylinder_chart(
         domain=domain,
         periodic=(True, False),
         orientation=orientation,
-        mode=mode,
         jacobian=jac,
         hessian=hess,
     )
 
 
-def sphere_chart(
-    radius: float = 1.0, orientation: int = 1, mode: str = "analytic"
-) -> SurfaceChart:
+def sphere_chart(radius: float = 1.0, orientation: int = 1) -> SurfaceChart:
     """Sphere in polar/azimuth coordinates (phi, theta); poles are coordinate
     singularities, so the polar axis uses the 'natural' (zero-flux) closure."""
     if radius <= 0.0:
@@ -346,9 +352,7 @@ def sphere_chart(
         h11 = _vec3(-rr * sp * ct, -rr * sp * st, -rr * cp)
         h12 = _vec3(-rr * cp * st, rr * cp * ct, zero)
         h22 = _vec3(-rr * sp * ct, -rr * sp * st, zero)
-        row1 = np.stack([h11, h12], axis=-2)
-        row2 = np.stack([h12, h22], axis=-2)
-        return np.stack([row1, row2], axis=-3)
+        return _hessian(h11, h12, h22)
 
     return SurfaceChart(
         kind="sphere",
@@ -356,7 +360,6 @@ def sphere_chart(
         domain=((0.0, np.pi), (0.0, 2.0 * np.pi)),
         periodic=(False, True),
         orientation=orientation,
-        mode=mode,
         jacobian=jac,
         hessian=hess,
         closure=("natural", "periodic"),
@@ -364,7 +367,7 @@ def sphere_chart(
 
 
 def torus_chart(
-    major: float = 2.0, minor: float = 0.5, orientation: int = 1, mode: str = "analytic"
+    major: float = 2.0, minor: float = 0.5, orientation: int = 1
 ) -> SurfaceChart:
     """Torus; q1 is the minor (poloidal) angle, q2 the major (toroidal) angle."""
     if not 0.0 < minor < major:
@@ -394,9 +397,7 @@ def torus_chart(
         h11 = _vec3(-small * cu * cv, -small * cu * sv, -small * su)
         h12 = _vec3(small * su * sv, -small * su * cv, zero)
         h22 = _vec3(-w * cv, -w * sv, zero)
-        row1 = np.stack([h11, h12], axis=-2)
-        row2 = np.stack([h12, h22], axis=-2)
-        return np.stack([row1, row2], axis=-3)
+        return _hessian(h11, h12, h22)
 
     return SurfaceChart(
         kind="torus",
@@ -404,16 +405,13 @@ def torus_chart(
         domain=((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)),
         periodic=(True, True),
         orientation=orientation,
-        mode=mode,
         jacobian=jac,
         hessian=hess,
     )
 
 
 def catenoid_chart(
-    u_extent: tuple[float, float] = (-2.0, 2.0),
-    orientation: int = 1,
-    mode: str = "analytic",
+    u_extent: tuple[float, float] = (-2.0, 2.0), orientation: int = 1
 ) -> SurfaceChart:
     """Unit catenoid r(u, v) = (cosh u cos v, cosh u sin v, u)."""
 
@@ -439,9 +437,7 @@ def catenoid_chart(
         h11 = _vec3(ch * cv, ch * sv, zero)
         h12 = _vec3(-sh * sv, sh * cv, zero)
         h22 = _vec3(-ch * cv, -ch * sv, zero)
-        row1 = np.stack([h11, h12], axis=-2)
-        row2 = np.stack([h12, h22], axis=-2)
-        return np.stack([row1, row2], axis=-3)
+        return _hessian(h11, h12, h22)
 
     return SurfaceChart(
         kind="catenoid",
@@ -449,7 +445,6 @@ def catenoid_chart(
         domain=((float(u_extent[0]), float(u_extent[1])), (0.0, 2.0 * np.pi)),
         periodic=(False, True),
         orientation=orientation,
-        mode=mode,
         jacobian=jac,
         hessian=hess,
     )
@@ -459,7 +454,6 @@ def plane_chart(
     extent: tuple[float, float] = (1.0, 1.0),
     shear: float = 0.0,
     orientation: int = 1,
-    mode: str = "analytic",
 ) -> SurfaceChart:
     """Flat chart r = (q1 + shear*q2, q2, 0); non-orthogonal when shear != 0."""
     lx, ly = float(extent[0]), float(extent[1])
@@ -481,8 +475,7 @@ def plane_chart(
         x, y = np.asarray(x, float), np.asarray(y, float)
         zero = np.zeros_like(x * y)
         hz = _vec3(zero, zero, zero)
-        row = np.stack([hz, hz], axis=-2)
-        return np.stack([row, row], axis=-3)
+        return _hessian(hz, hz, hz)
 
     return SurfaceChart(
         kind="plane",
@@ -490,7 +483,6 @@ def plane_chart(
         domain=((0.0, lx), (0.0, ly)),
         periodic=(False, False),
         orientation=orientation,
-        mode=mode,
         jacobian=jac,
         hessian=hess,
     )
@@ -517,7 +509,6 @@ def from_position_map(
         domain=domain,
         periodic=periodic,
         orientation=orientation,
-        mode="fd",
         fd_step=fd_step,
     )
 

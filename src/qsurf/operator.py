@@ -24,9 +24,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .confinement import ConfinementProfile, TransverseWell, transverse_ground_energy
+from .confinement import ConfinementProfile, TransverseWell, add_morphology
+from .confinement import transverse_ground_energy
 from .errors import NumericalError, ResolutionError
-from .geometry import SurfaceChart, geometric_potential, metric
+from .geometry import SurfaceChart, curvature, metric
 
 _COUPLING_CLEAN_RTOL = 1e-14  # drop FFT round-off below this relative level
 _SCREW_RTOL = 1e-12  # rotated blocks of a screw run agree to this, relative
@@ -65,6 +66,11 @@ class ChannelBasis:
     def geometric_potential(self) -> float:
         """Constant curvature potential of the cylinder, -1/(4 r^2)."""
         return -1.0 / (4.0 * self.radius**2)
+
+    def threshold(self, l, include_vg: bool):
+        """Threshold l^2/r^2 + V_g of channel(s) l (V_g only with include_vg)."""
+        vg = self.geometric_potential if include_vg else 0.0
+        return (l / self.radius) ** 2 + vg
 
 
 @dataclass(frozen=True)
@@ -109,8 +115,7 @@ def lead_modes(
     (= 1 on open channels, up to rounding).
     """
     modes = basis.modes
-    vg = basis.geometric_potential if include_vg else 0.0
-    offsets = (modes / basis.radius) ** 2 + vg
+    offsets = basis.threshold(modes, include_vg)
     x = 1.0 - (e1 - offsets) * dz**2 / 2.0
 
     open_mask = np.abs(x) < 1.0
@@ -182,9 +187,8 @@ def fourier_couplings(
             f"{2 * basis.l_max} (need >= {nyquist_floor})"
         )
 
-    e0 = transverse_ground_energy(well)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    f = (profile(theta[None, :], zs[:, None]) - 1.0) * e0  # (nz, n_theta), real
+    f = add_morphology(0.0, profile, well, theta[None, :], zs[:, None])  # (nz, n_theta)
     coeff = np.fft.fft(f, axis=1) / n_theta  # c_m = (1/n) sum f e^{-i m theta}
 
     diff = basis.modes[:, None] - basis.modes[None, :]
@@ -332,11 +336,10 @@ def required_dz(
     band bottom lowered by the attractive well depth epsilon*E0), and at
     least 20 slices per helix pitch when the potential oscillates in z.
     """
-    vg = basis.geometric_potential if include_vg else 0.0
     depth = 0.0
     if profile is not None and profile.kind != "homogeneous" and well is not None:
         depth = profile.epsilon * transverse_ground_energy(well)
-    k2 = e1_max - vg + depth
+    k2 = e1_max - basis.threshold(0, include_vg) + depth
     dz = MAX_K_DZ / math.sqrt(k2) if k2 > 0.0 else math.inf
     if profile is not None and profile.z_period is not None:
         dz = min(dz, profile.z_period / MIN_POINTS_PER_PITCH)
@@ -398,8 +401,7 @@ def assemble_coupled_channel(
         z_nodes = (np.arange(total) + 0.5) * h - n_pad * h
 
     n = basis.n_modes
-    vg = basis.geometric_potential if include_vg else 0.0
-    lead_offsets = (basis.modes / basis.radius) ** 2 + vg
+    lead_offsets = basis.threshold(basis.modes, include_vg)
     kinetic = 2.0 / h**2
 
     onsite = np.zeros((z_nodes.size, n, n), dtype=complex)
@@ -441,8 +443,7 @@ def assemble_coupled_channel(
 
 def _validate_dz(dz, profile, e1_max, basis, well, include_vg):
     if e1_max is not None:
-        vg = basis.geometric_potential if include_vg else 0.0
-        k2 = e1_max - vg
+        k2 = e1_max - basis.threshold(0, include_vg)
         if k2 > 0.0:
             k_max = math.sqrt(k2)
             if k_max * dz > MAX_K_DZ * (1.0 + 1e-12):
@@ -544,8 +545,9 @@ def assemble_2d(
 
     A non-diagonal metric adds D_1^T diag(sqrt(g) g^{12} / 4) D_2 + transpose
     on the cell corners, where D_a differences axis a and sums the other axis
-    (no wall rows).  V = V_g + (s-1) E0.  The generalized problem
-    A psi = E M psi is recast as H = M^{-1/2} A M^{-1/2}.
+    (no wall rows).  V = V_g + (s-1) E0; one curvature call at the nodes
+    gives both m and V_g.  The generalized problem A psi = E M psi is recast
+    as H = M^{-1/2} A M^{-1/2}.
 
     Returns (H, grid) with H in CSR format, exactly symmetric.
     """
@@ -564,7 +566,8 @@ def assemble_2d(
         return g[:, 1, 1] / sq, -g[:, 0, 1] / sq, g[:, 0, 0] / sq
 
     qq1, qq2 = np.meshgrid(q1, q2, indexing="ij")
-    g_n = metric(chart, (qq1, qq2))
+    nodes = curvature(chart, (qq1, qq2))
+    g_n = nodes.metric
     mass = (sqrt_det(g_n) * h1 * h2).ravel()
 
     faces1, d1 = _differences(q1, h1, a1, b1, bc[0])
@@ -589,12 +592,7 @@ def assemble_2d(
         mixed = sp.kron(e1, abs(e2)).T @ sp.diags(w) @ sp.kron(abs(e1), e2)
         a = a + (mixed + mixed.T)  # grouped so that a stays exactly symmetric
 
-    v_node = geometric_potential(chart, (qq1, qq2))
-    if profile is not None and profile.kind != "homogeneous":
-        if well is None:
-            raise ValueError("a transverse well is required with a profile")
-        e0 = transverse_ground_energy(well)
-        v_node = v_node + (profile(qq1, qq2) - 1.0) * e0
+    v_node = add_morphology(nodes.potential, profile, well, qq1, qq2)
     h = (a + sp.diags(v_node.ravel() * mass)).tocsr()
 
     inv_sqrt_m = 1.0 / np.sqrt(mass)

@@ -126,7 +126,7 @@ def check_curvature_analytics(inject: str | None = None) -> CheckResult:
     for chart, q, abs_m, k_exact in cases:
         for mode_chart, tol in ((chart, 1e-12), (chart.as_fd(), 1e-6)):
             c = geometry.curvature(mode_chart, q)
-            vg = geometry.geometric_potential(mode_chart, q)
+            vg = c.potential
             if inject == "vg_sign":
                 vg = -vg
             scale = max(abs(abs_m) ** 2, abs(k_exact), 1e-12)

@@ -525,9 +525,7 @@ def scattering_density(
     point, psi = _scattering_solution(op, e1)
     hits = np.nonzero(point.open_modes == l_incident)[0]
     if hits.size == 0:
-        offset = (l_incident / op.basis.radius) ** 2 + (
-            op.basis.geometric_potential if op.include_vg else 0.0
-        )
+        offset = op.basis.threshold(l_incident, op.include_vg)
         raise ClosedChannelError(
             f"mode {l_incident} is closed at E1 = {e1:.6g} "
             f"(threshold {offset:.6g})"

@@ -130,6 +130,43 @@ def test_badly_typed_values_rejected():
     assert cfg.output.prefix == "2024"
 
 
+@pytest.mark.parametrize("route", ["file", "set"])
+@pytest.mark.parametrize(
+    "section, key, literal",
+    [
+        ("sweep", "e1_min", "NaN"),
+        ("well", "e0", "NaN"),
+        ("numerics", "taper", "NaN"),
+        ("sweep", "e1_max", "Infinity"),
+        ("sweep", "e1_max", "-Infinity"),
+        ("sweep", "e1_max", "1" + "0" * 400),
+    ],
+    ids=["nan", "nan-optional", "nan-taper", "inf", "-inf", "int-beyond-float"],
+)
+def test_non_finite_numbers_rejected(tmp_path, capsys, route, section, key, literal):
+    # json.loads parses all of these; none is a usable value for a float field
+    config = tmp_path / "cfg.json"
+    args = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+    if route == "file":
+        config.write_text(f'{{"{section}": {{"{key}": {literal}}}}}', encoding="utf-8")
+    else:
+        config.write_text("{}", encoding="utf-8")
+        args += ["--set", f"{section}.{key}={literal}"]
+    assert cli.main(args) == 1
+    assert f"{section}.{key} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_chart_mode_param_rejected(tmp_path, capsys):
+    # the finite-difference path is reached through as_fd(), not a chart param
+    cfg = paper_config()
+    cfg.chart.params["mode"] = "fd"
+    path = write_config(tmp_path, cfg)
+    rc = cli.main(["curvature", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "mode" in capsys.readouterr().err
+
+
 def test_resolved_energies_avoid_thresholds():
     cfg = paper_config(e1_min=0.5, e1_max=1.5, n_points=3)  # grid hits 1.0
     setup = cfgmod.resolve(cfg)

@@ -1,5 +1,6 @@
 """Coupled-channel assembly, Fourier couplings, lead modes, and the 2D operator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.linalg import block_diag
 
+from qsurf import cli
+from qsurf import config as cfgmod
 from qsurf import confinement as cf
 from qsurf import geometry as geo
 from qsurf import operator as op
@@ -523,3 +526,71 @@ def test_closed_segment_richardson_order():
     e1, e2, e3 = lowest(50), lowest(100), lowest(200)
     slopes = np.log2(np.abs(e1 - e2) / np.abs(e2 - e3))
     assert np.all(slopes > 1.8) and np.all(slopes < 2.2)
+
+
+# ---------------------------------------------------------------------------
+# chart evaluations per assembly
+# ---------------------------------------------------------------------------
+
+
+def counted(chart, calls):
+    """The chart with its jacobian and hessian callbacks counting into calls."""
+
+    def wrap(name):
+        fn = getattr(chart, name)
+
+        def counting(q1, q2):
+            calls[name] += 1
+            return fn(q1, q2)
+
+        return counting
+
+    return dataclasses.replace(
+        chart, jacobian=wrap("jacobian"), hessian=wrap("hessian")
+    )
+
+
+@pytest.mark.parametrize(
+    "chart, jacobians",
+    [
+        (geo.cylinder_chart(radius=1.0, z_extent=(0.0, 3.0)), 3),
+        (geo.sphere_chart(radius=1.0), 3),
+        (geo.plane_chart(shear=0.4), 4),
+    ],
+    ids=["cylinder", "sphere", "sheared-plane"],
+)
+def test_2d_assembly_evaluates_each_point_set_once(chart, jacobians):
+    # nodes (measure and V_g from one curvature call), axis-1 faces, axis-2
+    # faces, and the cell corners where the metric is not diagonal
+    calls = {"jacobian": 0, "hessian": 0}
+    op.assemble_2d(counted(chart, calls), n1=12, n2=10)
+    assert calls == {"jacobian": jacobians, "hessian": 1}
+
+
+def test_cmd_curvature_evaluates_chart_once(tmp_path, monkeypatch):
+    calls = {"jacobian": 0, "hessian": 0}
+    builtin = geo.builtin_chart
+    monkeypatch.setattr(
+        geo, "builtin_chart", lambda *a, **k: counted(builtin(*a, **k), calls)
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(cfgmod.serialize(cfgmod.RunConfig()), encoding="utf-8")
+    assert cli.main(["curvature", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert calls == {"jacobian": 1, "hessian": 1}
+
+
+@pytest.mark.parametrize(
+    "chart, profile",
+    [
+        (geo.cylinder_chart(radius=1.0, z_extent=(0.0, 3.0)), helical()),
+        (geo.sphere_chart(radius=1.0), cf.homogeneous_profile()),
+    ],
+    ids=["helical-cylinder", "homogeneous-sphere"],
+)
+def test_2d_v_min_is_effective_potential_minimum(chart, profile):
+    # the closed-system operator carries the effective potential of the
+    # confinement module at its nodes, bit for bit
+    _, grid = op.assemble_2d(chart, profile, WELL, n1=24, n2=30)
+    nodes = np.meshgrid(grid.q1, grid.q2, indexing="ij")
+    v = cf.effective_potential(profile, WELL, chart, nodes)
+    assert np.float64(grid.v_min).tobytes() == np.min(v).tobytes()
