@@ -122,28 +122,19 @@ def cmd_spectrum(args) -> int:
     cfg = _load_config(args)
     setup = cfgmod.resolve(cfg)
     num = cfg.numerics
-    if num.spectrum_count >= num.grid_n1 * num.grid_n2:
-        raise ConfigError(
-            f"numerics: spectrum_count = {num.spectrum_count} must be below the "
-            f"{num.grid_n1} x {num.grid_n2} = {num.grid_n1 * num.grid_n2} grid points"
-        )
     h2d, grid = operator.assemble_2d(
-        setup.chart,
-        setup.profile if setup.profile.kind != "homogeneous" else None,
-        setup.well,
-        n1=cfg.numerics.grid_n1,
-        n2=cfg.numerics.grid_n2,
+        setup.chart, setup.profile, setup.well, n1=num.grid_n1, n2=num.grid_n2
     )
     vals = operator.lowest_eigenvalues_2d(
-        h2d, cfg.numerics.spectrum_count, sigma=grid.v_min - 1.0
+        h2d, num.spectrum_count, sigma=grid.v_min - 1.0
     )
     out = _outdir(args) / f"{cfg.output.prefix}_spectrum.csv"
     _write_csv(out, ["index", "E[e0]"], [np.arange(vals.size), vals])
     meta = {
         "chart": cfg.chart.kind,
-        "grid": [cfg.numerics.grid_n1, cfg.numerics.grid_n2],
+        "grid": [num.grid_n1, num.grid_n2],
         "bc": list(grid.bc),
-        "count": int(cfg.numerics.spectrum_count),
+        "count": int(num.spectrum_count),
     }
     _write_json(_outdir(args) / f"{cfg.output.prefix}_spectrum.json", meta)
     print(f"wrote {out}")

@@ -19,7 +19,8 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from operator import ge, gt
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class ChartSpec:
 
 @dataclass
 class ProfileSpec:
-    kind: str = "helical"  # "helical" | "homogeneous"
+    kind: Literal["helical", "homogeneous"] = "helical"
     epsilon: float = 0.1
     omega: float = 8.0
     kappa: float = 1.0
@@ -52,26 +53,27 @@ class WellSpec:
 @dataclass
 class NumericsSpec:
     l_max: Optional[int] = None  # default: coupling shells beyond open modes
-    dz: Optional[float] = None  # default: resolution rules at the top energy
-    length: Optional[float] = None  # scattering window; default 8 helix pitches
-    taper: float = 0.0  # cosine edge ramp length (0 = abrupt)
-    lead_pad: Optional[float] = None  # clean lead slices kept in outputs
+    dz: Optional[float] = field(default=None, metadata={"above": 0})  # slice step
+    length: Optional[float] = field(default=None, metadata={"above": 0})  # window
+    taper: float = field(default=0.0, metadata={"min": 0})  # cosine ramp, 0: abrupt
+    lead_pad: Optional[float] = field(default=None, metadata={"min": 0})  # clean lead
     n_theta: Optional[int] = None
     include_vg: bool = True
-    workers: int = 1
-    grid_n1: int = 32  # curvature/spectrum grids
-    grid_n2: int = 32
-    spectrum_count: int = 10
+    workers: int = field(default=1, metadata={"min": 1})
+    grid_n1: int = field(default=32, metadata={"min": 1})  # curvature/spectrum grids
+    grid_n2: int = field(default=32, metadata={"min": 1})
+    spectrum_count: int = field(default=10, metadata={"min": 1})
 
 
 @dataclass
 class SweepSpec:
     e1_min: float = 0.1
     e1_max: float = 4.5
-    n_points: int = 200
-    reference: str = "threshold"  # "threshold" (band-bottom-relative) | "raw"
-    pair: int = 1
-    record_l: int = 2
+    n_points: int = field(default=200, metadata={"min": 1})
+    # "threshold": relative to the band bottom; "raw": absolute E1
+    reference: Literal["threshold", "raw"] = "threshold"
+    pair: int = field(default=1, metadata={"min": 1})
+    record_l: int = field(default=2, metadata={"min": 0})
 
 
 @dataclass
@@ -98,8 +100,11 @@ _SECTIONS = {
     "output": OutputSpec,
 }
 
-# declared type of every config field, per section class
-_FIELD_TYPES = {cls: get_type_hints(cls) for cls in _SECTIONS.values()}
+# declared type and bound metadata of every config field, per section
+_SCHEMA = {
+    name: {f.name: (get_type_hints(cls)[f.name], f.metadata) for f in fields(cls)}
+    for name, cls in _SECTIONS.items()
+}
 
 _TYPE_NAMES = {
     int: "an integer",
@@ -110,24 +115,50 @@ _TYPE_NAMES = {
     type(None): "null",
 }
 
+# lower bounds a field's metadata may declare: test, wording
+_BOUNDS = {"min": (ge, "at least"), "above": (gt, "greater than")}
+
+
+def _finite(value) -> bool:
+    """False if value is or holds a NaN, an infinity or an int beyond float range."""
+    if isinstance(value, (list, tuple, dict)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max
+
 
 def _fits(value, tp) -> bool:
     if get_origin(tp) is Union:
         return any(_fits(value, arg) for arg in get_args(tp))
+    if get_origin(tp) is Literal:
+        return value in get_args(tp)
     if tp is float:  # rejects the NaN, Infinity and huge ints json.loads yields
-        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+        return (_fits(value, int) or isinstance(value, float)) and _finite(value)
     if tp is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, tp)
 
 
-def _check_type(section: str, key: str, value) -> None:
-    """Reject a value that does not fit the declared type of section.key."""
-    tp = _FIELD_TYPES[_SECTIONS[section]][key]
+def _describe(tp) -> str:
+    if get_origin(tp) is Literal:
+        return "one of " + ", ".join(map(repr, get_args(tp)))
+    return " or ".join(_TYPE_NAMES[t] for t in get_args(tp) or (tp,))
+
+
+def _check(section: str, key: str, value) -> None:
+    """Reject a value outside the declared type or bound of section.key."""
+    tp, meta = _SCHEMA[section][key]
+    name = f"{section}.{key}"
     if not _fits(value, tp):
-        options = get_args(tp) if get_origin(tp) is Union else (tp,)
-        expected = " or ".join(_TYPE_NAMES[t] for t in options)
-        raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+        raise ConfigError(f"{name} must be {_describe(tp)}, got {value!r}")
+    if isinstance(value, dict):  # chart.params: keyword arguments of a factory
+        for k, v in value.items():
+            if not _finite(v):
+                raise ConfigError(f"{name}.{k} must be finite, got {v!r}")
+    for kind, bound in meta.items():
+        holds, wording = _BOUNDS[kind]
+        if value is not None and not holds(value, bound):
+            null = " or null" if _fits(None, tp) else ""
+            raise ConfigError(f"{name} must be {wording} {bound}{null}, got {value!r}")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -135,8 +166,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from nested dicts, rejecting unknown keys and values
-    that do not fit a field's declared type."""
+    """Build a RunConfig from nested dicts, checking every key and value."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(data) - set(_SECTIONS)
@@ -155,7 +185,7 @@ def config_from_dict(data: dict) -> RunConfig:
                 f"(allowed: {sorted(allowed)})"
             )
         for key, value in section.items():
-            _check_type(name, key, value)
+            _check(name, key, value)
         kwargs[name] = cls(**section)
     return RunConfig(**kwargs)
 
@@ -180,7 +210,7 @@ def load(path) -> RunConfig:
 def apply_override(cfg: RunConfig, dotted_key: str, raw_value: str) -> None:
     """Set ``section.key`` from a command-line string (JSON literal or str).
 
-    The value must fit the field's declared type, as in :func:`config_from_dict`.
+    The value is checked as in :func:`config_from_dict`.
     """
     try:
         section_name, key = dotted_key.split(".", 1)
@@ -190,17 +220,16 @@ def apply_override(cfg: RunConfig, dotted_key: str, raw_value: str) -> None:
         ) from None
     if section_name not in _SECTIONS:
         raise ConfigError(f"unknown config section '{section_name}'")
-    section = getattr(cfg, section_name)
-    if key not in _FIELD_TYPES[type(section)]:
+    if key not in _SCHEMA[section_name]:
         raise ConfigError(f"unknown key '{key}' in section '{section_name}'")
     try:
         value = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value
-    if _FIELD_TYPES[type(section)][key] is str and not isinstance(value, str):
+    if _SCHEMA[section_name][key][0] is str and not isinstance(value, str):
         value = raw_value  # e.g. output.prefix=2024 stays the string "2024"
-    _check_type(section_name, key, value)
-    setattr(section, key, value)
+    _check(section_name, key, value)
+    setattr(getattr(cfg, section_name), key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +266,18 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
     Raises ConfigError with an actionable message on the first violated
     constraint; emits warnings for soft checks (transverse-energy dominance).
     """
+    for section, keys in _SCHEMA.items():
+        for key in keys:
+            _check(section, key, getattr(getattr(cfg, section), key))
+
     try:
         chart = geometry.builtin_chart(cfg.chart.kind, **cfg.chart.params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"chart: {exc}") from exc
 
-    radius = float(cfg.chart.params.get("radius", 1.0))
-    if cfg.chart.kind != "cylinder":
-        radius = 1.0  # transport runs require a cylinder; other charts are
-        # used by curvature/spectrum commands only
+    radius = 1.0  # transport runs on a cylinder; other charts serve curvature/spectrum
+    if cfg.chart.kind == "cylinder":
+        radius = float(cfg.chart.params.get("radius", 1.0))
 
     try:
         well = confinement.TransverseWell(e0=cfg.well.e0, omega=cfg.well.omega)
@@ -257,7 +289,7 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
     try:
         if p.kind == "homogeneous" or p.epsilon == 0.0:
             profile = confinement.homogeneous_profile()
-        elif p.kind == "helical":
+        else:
             profile = confinement.helical_profile(
                 p.epsilon,
                 p.omega,
@@ -266,26 +298,17 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
                 ditch_count=p.ditch_count,
                 round_omega=p.round_omega,
             )
-        else:
-            raise ConfigError(
-                f"profile kind '{p.kind}' is not constructible from a config "
-                "(use the library API for custom profiles)"
-            )
     except ProfileError as exc:
         raise ConfigError(f"profile: {exc}") from exc
 
     num = cfg.numerics
-    include_vg = bool(num.include_vg)
-    vg = -1.0 / (4.0 * radius**2) if include_vg else 0.0
+    band_bottom = operator.ChannelBasis(0, radius).threshold(0, num.include_vg)
 
     sw = cfg.sweep
-    if sw.n_points < 1:
-        raise ConfigError("sweep: n_points must be at least 1")
     if sw.e1_max <= sw.e1_min:
-        raise ConfigError("sweep: need e1_max > e1_min (empty energy range)")
-    if sw.reference not in ("threshold", "raw"):
-        raise ConfigError("sweep: reference must be 'threshold' or 'raw'")
-    band_bottom = vg  # l = 0 lead threshold in absolute units
+        raise ConfigError(
+            f"sweep.e1_max must exceed e1_min (empty energy range), got {sw.e1_max}"
+        )
     shift = band_bottom if sw.reference == "threshold" else 0.0
     e1_max_abs = sw.e1_max + shift
     e1_max_rel = e1_max_abs - band_bottom
@@ -301,11 +324,11 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
     m_d = profile.theta_harmonic or 0
     l_open_max = int(math.floor(radius * math.sqrt(max(e1_max_rel, 0.0))))
     if num.l_max is not None:
-        l_max = int(num.l_max)
+        l_max = num.l_max
         if l_max < l_open_max:
             raise ConfigError(
-                f"numerics: l_max = {l_max} cannot represent modes open at "
-                f"E1 = {e1_max_rel:g} (need >= {l_open_max})"
+                f"numerics.l_max must be at least {l_open_max} to represent the "
+                f"modes open at E1 = {e1_max_rel:g}, got {l_max}"
             )
     elif profile.kind == "homogeneous":
         l_max = l_open_max + 2
@@ -315,8 +338,6 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
 
     if num.length is not None:
         length = float(num.length)
-        if length <= 0.0:
-            raise ConfigError("numerics: length must be positive")
     elif profile.z_period is not None:
         length = 8.0 * profile.z_period
     else:
@@ -324,48 +345,35 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
 
     if num.dz is not None:
         dz = float(num.dz)
-        if dz <= 0.0:
-            raise ConfigError("numerics: dz must be positive")
     else:
         dz = operator.required_dz(
-            e1_max_abs, basis, profile, well, include_vg=include_vg
+            e1_max_abs, basis, profile, well, include_vg=num.include_vg
         )
 
     taper = float(num.taper)
-    if taper < 0.0 or 2.0 * taper > length:
-        raise ConfigError("numerics: taper must satisfy 0 <= 2*taper <= length")
-
-    lead_pad = float(num.lead_pad) if num.lead_pad is not None else 0.0
-    if lead_pad < 0.0:
-        raise ConfigError("numerics: lead_pad must be non-negative")
-
-    if num.workers < 1:
-        raise ConfigError("numerics: workers must be >= 1")
-    if min(num.grid_n1, num.grid_n2) < 1:
+    if 2.0 * taper > length:
         raise ConfigError(
-            f"numerics: grid_n1 and grid_n2 must be at least 1, "
-            f"got {num.grid_n1} x {num.grid_n2}"
+            f"numerics.taper must be at most length/2 = {length / 2:g}, got {num.taper}"
         )
+    lead_pad = float(num.lead_pad) if num.lead_pad is not None else 0.0
+
     cpus = os.cpu_count() or 1
     if num.workers > cpus:
         raise ConfigError(
-            f"numerics: workers = {num.workers} exceeds the {cpus} CPUs of this machine"
+            f"numerics.workers = {num.workers} exceeds the {cpus} CPUs of this machine"
         )
-    if sw.pair < 1:
-        raise ConfigError("sweep: pair must be a positive mode index")
-    if sw.record_l < 0:
-        raise ConfigError(f"sweep: record_l must be non-negative, got {sw.record_l}")
-    if num.spectrum_count < 1:
+    if num.spectrum_count >= num.grid_n1 * num.grid_n2:
         raise ConfigError(
-            f"numerics: spectrum_count must be at least 1, got {num.spectrum_count}"
+            f"numerics.spectrum_count = {num.spectrum_count} must be below the "
+            f"{num.grid_n1} x {num.grid_n2} = {num.grid_n1 * num.grid_n2} grid points"
         )
 
-    thresholds_rel = basis.threshold(basis.modes, include_vg=False)
+    thresholds_rel = np.unique(basis.threshold(basis.modes, include_vg=False))
     grid_rel = transport.sweep_energies(
         sw.e1_min + shift - band_bottom,
         sw.e1_max + shift - band_bottom,
         sw.n_points,
-        np.unique(thresholds_rel),
+        thresholds_rel,
     )
     energies = grid_rel + band_bottom
 
@@ -381,11 +389,11 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
         taper=taper,
         lead_pad=lead_pad,
         n_theta=num.n_theta,
-        include_vg=include_vg,
+        include_vg=num.include_vg,
         band_bottom=band_bottom,
         energies=energies,
         energies_relative=grid_rel,
-        thresholds_relative=np.unique(thresholds_rel),
+        thresholds_relative=thresholds_rel,
         e1_max_absolute=e1_max_abs,
     )
 

@@ -188,7 +188,8 @@ def _evaluate(chart: SurfaceChart, q):
     g11 = g[..., 0, 0]
     g22 = g[..., 1, 1]
     det = g11 * g22 - g[..., 0, 1] * g[..., 1, 0]
-    bad = (g11 <= 0.0) | (det <= _SINGULAR_RTOL * np.abs(g11 * g22))
+    # negated, so that a NaN metric (every comparison false) counts as degenerate
+    bad = ~((g11 > 0.0) & (det > _SINGULAR_RTOL * np.abs(g11 * g22)))
     if np.any(bad):
         raise SingularChartError(
             f"degenerate parametrization of chart '{chart.kind}' "

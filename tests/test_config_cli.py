@@ -1,5 +1,6 @@
 """Config schema, validation, and the command-line surface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -155,6 +156,85 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, route, section, key, lite
     assert cli.main(args) == 1
     assert f"{section}.{key} must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# a value just outside the declared bound or enum of every constrained field
+OUTSIDE = [
+    ("profile", "kind", "helix"),
+    ("sweep", "reference", "Threshold"),
+    ("sweep", "n_points", 0),
+    ("sweep", "pair", 0),
+    ("sweep", "record_l", -1),
+    ("numerics", "workers", 0),
+    ("numerics", "grid_n1", 0),
+    ("numerics", "grid_n2", 0),
+    ("numerics", "spectrum_count", 0),
+    ("numerics", "taper", -5e-324),
+    ("numerics", "lead_pad", -5e-324),
+    ("numerics", "length", 0.0),
+    ("numerics", "dz", 0.0),
+]
+
+
+@pytest.mark.parametrize("route", ["file", "set"])
+@pytest.mark.parametrize(
+    "section, key, value", OUTSIDE, ids=[f"{s}.{k}" for s, k, _ in OUTSIDE]
+)
+def test_cmd_value_outside_constraint_exits_1(
+    tmp_path, capsys, route, section, key, value
+):
+    config = tmp_path / "cfg.json"
+    args = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+    if route == "file":
+        config.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    else:
+        config.write_text("{}", encoding="utf-8")
+        args += ["--set", f"{section}.{key}={json.dumps(value)}"]
+    assert cli.main(args) == 1
+    assert f"{section}.{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("route", ["file", "set"])
+@pytest.mark.parametrize(
+    "kind, params, named",
+    [
+        ("sphere", {"radius": float("nan")}, "chart.params.radius"),
+        ("cylinder", {"radius": float("nan")}, "chart.params.radius"),
+        ("cylinder", {"z_extent": [0.0, float("nan")]}, "chart.params.z_extent"),
+    ],
+    ids=["sphere-radius", "cylinder-radius", "cylinder-z_extent"],
+)
+def test_cmd_non_finite_chart_params_exit_1(
+    tmp_path, capsys, route, kind, params, named
+):
+    # the sphere used to write all-NaN M, K and Vg columns and exit 0
+    cfg = paper_config()
+    cfg.chart.kind = kind
+    cfg.profile.kind = "homogeneous"
+    args = ["--out", str(tmp_path / "out")]
+    if route == "file":
+        cfg.chart.params = params
+    else:
+        args += ["--set", f"chart.params={json.dumps(params)}"]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["curvature", "--config", str(path)] + args) == 1
+    assert f"{named} must be finite, got" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_schema_names_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    schema = readme.split("### Config schema", 1)[1]
+    block = schema.split("```json\n", 1)[1].split("```", 1)[0]
+    cfgmod.parse(block)
+    document = json.loads(block)
+    assert set(document) == {f.name for f in dataclasses.fields(cfgmod.RunConfig)}
+    for section, spec in vars(cfgmod.RunConfig()).items():
+        keys = {f.name for f in dataclasses.fields(spec)}
+        assert set(document[section]) == keys, section
+        for key in keys:  # every field has a row of accepted values
+            assert f"`{section}.{key}`" in schema, f"{section}.{key}"
 
 
 def test_chart_mode_param_rejected(tmp_path, capsys):
@@ -354,7 +434,7 @@ def test_cmd_empty_chart_grid_exits_1(tmp_path, capsys, override, command):
     path = write_config(tmp_path, paper_config())
     argv = [command, "--config", str(path), "--out", str(tmp_path), "--set", override]
     assert cli.main(argv) == 1
-    assert "grid_n1 and grid_n2 must be at least 1" in capsys.readouterr().err
+    assert f"{override.split('=')[0]} must be at least 1" in capsys.readouterr().err
     assert not list(tmp_path.glob("run_*"))
 
 
@@ -482,8 +562,8 @@ def test_missing_config_is_validation_error():
 @pytest.mark.parametrize(
     "override, field",
     [
-        ("sweep.record_l=-1", "sweep: record_l"),
-        ("numerics.spectrum_count=0", "numerics: spectrum_count"),
+        ("sweep.record_l=-1", "sweep.record_l"),
+        ("numerics.spectrum_count=0", "numerics.spectrum_count"),
     ],
 )
 @pytest.mark.parametrize("command", ["sweep", "spectrum"])

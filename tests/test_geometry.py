@@ -96,6 +96,17 @@ def test_degenerate_map_raises_singular():
         geo.metric(chart, (0.5, 0.5))
 
 
+def test_nan_position_raises_singular():
+    # every comparison with NaN is false: the degenerate-metric test must not
+    # let a NaN metric through as a regular one
+    chart = geo.from_position_map(
+        lambda u, v: np.stack(np.broadcast_arrays(u, v, np.nan * u), axis=-1),
+        domain=((0.0, 1.0), (0.0, 1.0)),
+    )
+    with pytest.raises(SingularChartError):
+        geo.metric(chart, (0.5, 0.5))
+
+
 def test_fd_step_underflow_raises():
     chart = geo.cylinder_chart().as_fd(fd_step=(1e-18, 1e-18))
     with pytest.raises(StepSizeError):
@@ -187,6 +198,17 @@ def test_geometric_potential_nonpositive_everywhere():
     for chart in ALL_CHARTS:
         q1, q2 = random_interior_points(chart, 50, rng)
         assert np.all(geo.geometric_potential(chart, (q1, q2)) <= 0.0)
+
+
+def test_potential_clamps_round_off_to_zero():
+    # M^2 - K = 1 - nextafter(1, 2) = -2.2e-16 is round-off of a square
+    data = geo.CurvatureData(
+        metric=np.eye(2),
+        weingarten=np.zeros((2, 2)),
+        mean=np.float64(1.0),
+        gaussian=np.nextafter(1.0, 2.0),
+    )
+    assert data.potential == 0.0
 
 
 def test_orientation_flip_invariants():

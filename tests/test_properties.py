@@ -6,18 +6,27 @@ against ``rgf_smatrix`` and against the invariants it must keep: unitarity,
 reciprocity and the kappa -> -kappa mirror.  The observable kernels are drawn
 random complex blocks and must give the same bits on a stack as on each slice.
 The sweep energy grid must stay increasing, inside its range and clear of
-every channel threshold.
+every channel threshold.  A random valid run config must survive the JSON
+round-trip and per-field ``--set`` unchanged, and a value outside a field's
+declared bound or enum must be rejected by every route with the field's name.
 """
 
+import dataclasses
+import json
+import re
 from collections import Counter
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from qsurf import config as cfgmod
 from qsurf import confinement as cf
 from qsurf import operator as op
 from qsurf import transport as tr
+from qsurf.errors import ConfigError
 
 WELL = cf.TransverseWell(e0=70.0)
 VG = -0.25  # cylinder r = 1
@@ -149,3 +158,117 @@ def test_sweep_energies_increasing_inside_and_clear(
     assert grid[0] >= e_min and grid[-1] <= e_max
     assert np.min(np.abs(grid[:, None] - thresholds[None, :])) >= 1e-9
 
+
+
+# ---------------------------------------------------------------------------
+# run config: round-trip and declared constraints
+# ---------------------------------------------------------------------------
+
+SECTIONS = get_type_hints(cfgmod.RunConfig)  # section name -> spec class
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+json_ints = st.integers(-(2**63), 2**63)  # within float range
+json_scalars = st.none() | st.booleans() | json_ints | finite_floats | st.text()
+
+
+def config_fields():
+    """(section, key, declared type, bound metadata) of every config field."""
+    for section, cls in SECTIONS.items():
+        hints = get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            yield section, f.name, hints[f.name], f.metadata
+
+
+def valid_values(tp, meta):
+    if get_origin(tp) is Union:
+        return st.one_of(*(valid_values(arg, meta) for arg in get_args(tp)))
+    if get_origin(tp) is Literal:
+        return st.sampled_from(get_args(tp))
+    if tp is float:
+        low = meta.get("min", meta.get("above"))
+        return st.floats(
+            low, exclude_min="above" in meta, allow_nan=False, allow_infinity=False
+        )
+    if tp is int:
+        return st.integers(min_value=meta.get("min"))
+    if tp is dict:  # chart.params: any JSON object of finite numbers
+        values = st.recursive(json_scalars, st.lists, max_leaves=4)
+        return st.dictionaries(st.text(), values, max_size=3)
+    return {bool: st.booleans(), str: st.text(), type(None): st.none()}[tp]
+
+
+def invalid_values(tp, meta):
+    """Values outside the declared bound or enum; None if the field has neither."""
+    if get_origin(tp) is Literal:
+        return st.text().filter(lambda text: text not in get_args(tp))
+    if "min" in meta and int in get_args(tp) + (tp,):
+        return st.integers(max_value=meta["min"] - 1)
+    if meta:  # a float bound: "min" excludes it, "above" includes it
+        bound = meta.get("min", meta.get("above"))
+        return st.floats(
+            max_value=bound, exclude_max="min" in meta, allow_nan=False,
+            allow_infinity=False,
+        )
+    return None
+
+
+CONSTRAINED = [
+    (section, key, outside)
+    for section, key, tp, meta in config_fields()
+    if (outside := invalid_values(tp, meta)) is not None
+]
+
+valid_configs = st.builds(
+    cfgmod.RunConfig,
+    **{
+        section: st.builds(
+            cls,
+            **{
+                key: valid_values(tp, meta)
+                for s, key, tp, meta in config_fields()
+                if s == section
+            },
+        )
+        for section, cls in SECTIONS.items()
+    },
+)
+
+
+def test_constrained_fields_are_the_declared_ones():
+    names = {f"{section}.{key}" for section, key, _ in CONSTRAINED}
+    assert names == {
+        "profile.kind", "sweep.reference",
+        "sweep.n_points", "sweep.pair", "sweep.record_l",
+        "numerics.workers", "numerics.grid_n1", "numerics.grid_n2",
+        "numerics.spectrum_count", "numerics.taper", "numerics.lead_pad",
+        "numerics.length", "numerics.dz",
+    }
+
+
+@given(cfg=valid_configs)
+def test_valid_config_round_trips(cfg):
+    assert cfgmod.parse(cfgmod.serialize(cfg)) == cfg
+    overridden = cfgmod.RunConfig()
+    for section, key, _, _ in config_fields():
+        value = getattr(getattr(cfg, section), key)
+        cfgmod.apply_override(overridden, f"{section}.{key}", json.dumps(value))
+    assert overridden == cfg
+
+
+@pytest.mark.parametrize(
+    "section, key, outside",
+    CONSTRAINED,
+    ids=[f"{section}.{key}" for section, key, _ in CONSTRAINED],
+)
+@given(data=st.data())
+def test_value_outside_constraint_rejected(section, key, outside, data):
+    cfg, bad = data.draw(valid_configs), data.draw(outside)
+    named = re.escape(f"{section}.{key} must be")
+    document = cfgmod.config_to_dict(cfg)
+    document[section][key] = bad
+    with pytest.raises(ConfigError, match=named):
+        cfgmod.parse(json.dumps(document))
+    with pytest.raises(ConfigError, match=named):
+        cfgmod.apply_override(cfg, f"{section}.{key}", json.dumps(bad))
+    setattr(getattr(cfg, section), key, bad)  # a config built in Python
+    with pytest.raises(ConfigError, match=named):
+        cfgmod.resolve(cfg)
