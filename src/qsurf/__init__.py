@@ -69,7 +69,6 @@ from .transport import (
     ConductanceCurve,
     DensityMap,
     SMatrix,
-    SweepPlan,
     conductance,
     energy_sweep,
     lead_self_energy,

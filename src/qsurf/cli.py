@@ -148,14 +148,13 @@ def cmd_sweep(args) -> int:
     clock.lap("resolve")
     op = cfgmod.build_operator(setup)
     clock.lap("operator")
-    plan = transport.SweepPlan(
-        op=op,
-        energies=setup.energies,
+    curve = transport.energy_sweep(
+        op,
+        setup.energies,
         pair=cfg.sweep.pair,
         record_l=cfg.sweep.record_l,
         workers=cfg.numerics.workers,
     )
-    curve = transport.energy_sweep(plan)
     clock.lap("solve")
     if len(curve.failures) == curve.energies.size:
         raise NumericalError("every sweep point failed")
@@ -199,7 +198,7 @@ def cmd_sweep(args) -> int:
             "taper": float(setup.taper),
             "window_length": float(setup.length),
         },
-        "solver": curve.meta["solver"],
+        "solver": curve.solver,
         "timing": clock.seconds,
         "failures": curve.failures,
     }

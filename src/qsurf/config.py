@@ -19,7 +19,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from operator import ge, gt
+from operator import ge, gt, le
 from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -37,17 +37,17 @@ class ChartSpec:
 @dataclass
 class ProfileSpec:
     kind: Literal["helical", "homogeneous"] = "helical"
-    epsilon: float = 0.1
+    epsilon: float = field(default=0.1, metadata={"min": 0, "max": 0.5})
     omega: float = 8.0
     kappa: float = 1.0
-    ditch_count: Optional[int] = 2
+    ditch_count: Optional[Literal[1, 2]] = 2
     round_omega: bool = False
 
 
 @dataclass
 class WellSpec:
-    e0: Optional[float] = 70.0
-    omega: Optional[float] = None
+    e0: Optional[float] = field(default=70.0, metadata={"above": 0})
+    omega: Optional[float] = field(default=None, metadata={"above": 0})
 
 
 @dataclass
@@ -115,8 +115,12 @@ _TYPE_NAMES = {
     type(None): "null",
 }
 
-# lower bounds a field's metadata may declare: test, wording
-_BOUNDS = {"min": (ge, "at least"), "above": (gt, "greater than")}
+# bounds a field's metadata may declare: test, wording
+_BOUNDS = {
+    "min": (ge, "at least"),
+    "above": (gt, "greater than"),
+    "max": (le, "at most"),
+}
 
 
 def _finite(value) -> bool:
@@ -129,8 +133,8 @@ def _finite(value) -> bool:
 def _fits(value, tp) -> bool:
     if get_origin(tp) is Union:
         return any(_fits(value, arg) for arg in get_args(tp))
-    if get_origin(tp) is Literal:
-        return value in get_args(tp)
+    if get_origin(tp) is Literal:  # True == 1 and 1.0 == 1, so match the type too
+        return any(type(value) is type(a) and value == a for a in get_args(tp))
     if tp is float:  # rejects the NaN, Infinity and huge ints json.loads yields
         return (_fits(value, int) or isinstance(value, float)) and _finite(value)
     if tp is int:
@@ -139,9 +143,11 @@ def _fits(value, tp) -> bool:
 
 
 def _describe(tp) -> str:
+    if get_origin(tp) is Union:
+        return " or ".join(map(_describe, get_args(tp)))
     if get_origin(tp) is Literal:
         return "one of " + ", ".join(map(repr, get_args(tp)))
-    return " or ".join(_TYPE_NAMES[t] for t in get_args(tp) or (tp,))
+    return _TYPE_NAMES[tp]
 
 
 def _check(section: str, key: str, value) -> None:
@@ -273,16 +279,19 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
     try:
         chart = geometry.builtin_chart(cfg.chart.kind, **cfg.chart.params)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"chart: {exc}") from exc
+        key = "params" if cfg.chart.kind in geometry.CHART_KINDS else "kind"
+        raise ConfigError(f"chart.{key}: {exc}") from exc
 
     radius = 1.0  # transport runs on a cylinder; other charts serve curvature/spectrum
     if cfg.chart.kind == "cylinder":
         radius = float(cfg.chart.params.get("radius", 1.0))
 
-    try:
-        well = confinement.TransverseWell(e0=cfg.well.e0, omega=cfg.well.omega)
-    except ProfileError as exc:
-        raise ConfigError(f"well: {exc}") from exc
+    if (cfg.well.e0 is None) == (cfg.well.omega is None):
+        raise ConfigError(
+            "exactly one of well.e0 and well.omega must be set, got "
+            f"e0 = {cfg.well.e0!r}, omega = {cfg.well.omega!r}"
+        )
+    well = confinement.TransverseWell(e0=cfg.well.e0, omega=cfg.well.omega)
     e0 = confinement.transverse_ground_energy(well)
 
     p = cfg.profile
@@ -399,7 +408,11 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
 
 
 def build_operator(setup: ResolvedSetup, closed: bool = False):
-    """Assemble the coupled-channel operator described by a resolved setup."""
+    """Assemble the coupled-channel operator described by a resolved setup.
+
+    The operator's errors lead with the parameter at fault (``n_theta``,
+    ``dz``, ``length``), so the ConfigError names ``numerics.<key>``.
+    """
     try:
         return operator.assemble_coupled_channel(
             setup.profile,
@@ -415,4 +428,4 @@ def build_operator(setup: ResolvedSetup, closed: bool = False):
             closed=closed,
         )
     except (ResolutionError, ValueError) as exc:
-        raise ConfigError(f"numerics: {exc}") from exc
+        raise ConfigError(f"numerics.{exc}") from exc

@@ -523,6 +523,9 @@ _BUILTIN_FACTORIES = {
 }
 
 
+CHART_KINDS = tuple(_BUILTIN_FACTORIES)
+
+
 def builtin_chart(kind: str, **kwargs) -> SurfaceChart:
     try:
         factory = _BUILTIN_FACTORIES[kind]

@@ -380,7 +380,7 @@ def assemble_coupled_channel(
     closed segments, and when fewer than two slices sit at full weight.
     """
     if length <= 0.0:
-        raise ValueError("window length must be positive")
+        raise ValueError(f"length = {length} must be positive")
     if (dz is None) == (n_z is None):
         raise ValueError("specify exactly one of dz and n_z")
 

@@ -241,7 +241,7 @@ def check_sweep_fold(inject: str | None = None) -> CheckResult:
     if op.screw is None:
         return CheckResult("sweep_fold_equivalence", False, "no screw run recorded")
     energies = float(np.min(op.lead_offsets)) + np.array([0.35, 0.9, 1.7, 2.6, 3.4])
-    curve = transport.energy_sweep(transport.SweepPlan(op=op, energies=energies))
+    curve = transport.energy_sweep(op, energies)
     ref = [float(np.sum(np.abs(transport.rgf_smatrix(op, e).t) ** 2)) for e in energies]
     worst = float(np.max(np.abs(curve.sigma_total - ref)))
     folded = op.screw.stop - op.screw.start

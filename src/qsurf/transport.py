@@ -14,11 +14,10 @@ self-energy):
 * the S-matrix only needs the wavefunction on the two boundary slices, i.e.
   the corner blocks G_11, G_N1, G_1N, G_NN of the retarded Green's function.
   A forward-only recursive Green's function (RGF) sweep carries them slice by
-  slice for a whole stack of energies at once; energies with the same open
-  channels share a stack, solved in blocks of at most 32 energies.  With D_n
-  the diagonal block of (E - H - Sigma), b = 1/dz^2 the off-diagonal block,
-  g_n the left-connected Green's function of slices 1..n and Q the injection
-  source on the first slice:
+  slice for a block of up to 32 energies that share their open channels.
+  With D_n the diagonal block of (E - H - Sigma), b = 1/dz^2 the off-diagonal
+  block, g_n the left-connected Green's function of slices 1..n and Q the
+  injection source on the first slice:
 
       g_n    = (D_n - b^2 g_{n-1})^{-1}
       G_n1 Q = -b g_n G_{n-1,1} Q
@@ -26,7 +25,7 @@ self-energy):
       G_11 Q = G_11 Q + b^2 G_{1,n-1} g_n G_{n-1,1} Q  (open rows only)
 
   and g_N = G_NN.  Memory does not grow with the slice count, and every
-  energy's result is independent of the stack it was solved in;
+  energy's result is independent of the block it was solved in;
 * the helical window is invariant under a screw motion.  In the gauge
   psi_j = W_j phi_j, W_j = diag(exp(-i l q z_j)) with q = omega*kappa/m_d,
   every on-site block at full taper weight becomes one matrix A and the
@@ -83,7 +82,7 @@ import functools
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -209,22 +208,26 @@ class _Point(NamedTuple):
 def _prepare(op: CoupledChannelOperator, e1: float) -> _Point:
     """Lead modes, open channels, self-energy and threshold flag at e1.
 
-    A NumericalError raised here concerns this energy only.
+    A NumericalError raised here concerns this energy only.  The caller warns
+    about flagged energies (:func:`_warn_thresholds`), so that a sweep warns
+    once, in the calling process, for any worker count.
     """
     if op.style != "open":
         raise ValueError("transport needs an operator assembled with closed=False")
     leads = op.lead_mode_set(e1)
     threshold_flag = bool(np.min(np.abs(e1 - leads.offsets)) < THRESHOLD_ATOL)
-    if threshold_flag:
-        warnings.warn(
-            f"E1 = {e1!r} is within {THRESHOLD_ATOL} of a channel threshold",
-            ThresholdProximityWarning,
-            stacklevel=3,
-        )
     sigma = lead_self_energy(leads, op.dz)
     open_idx = np.nonzero(leads.open_mask)[0]
     modes = leads.modes[open_idx]
     return _Point(float(e1), leads, open_idx, modes, sigma, threshold_flag)
+
+
+def _warn_thresholds(energies, flags) -> None:
+    """One ThresholdProximityWarning naming the flagged energies, if any."""
+    if np.any(flags):
+        listed = ", ".join(repr(float(e)) for e, f in zip(energies, flags) if f)
+        message = f"E1 = {listed} within {THRESHOLD_ATOL} of a channel threshold"
+        warnings.warn(message, ThresholdProximityWarning, stacklevel=3)
 
 
 def _injection_amplitudes(point: _Point, dz: float) -> np.ndarray:
@@ -242,6 +245,7 @@ def _scattering_solution(op: CoupledChannelOperator, e1: float):
     rest right incidence.
     """
     point = _prepare(op, e1)
+    _warn_thresholds([e1], [point.threshold_flag])
     open_idx = point.open_idx
     n_sl, n = op.n_slices, op.n_modes
     n_open = open_idx.size
@@ -426,22 +430,14 @@ def _boundary_blocks(points: list, first: np.ndarray, last: np.ndarray):
     )
 
 
-def _smatrices(op: CoupledChannelOperator, points: list, stats: Counter):
-    """Flux-normalized blocks (t, r, t_reverse, r_reverse) of a stack of points
-    that share one set of open channels, each of shape (n_points, n_open,
-    n_open); solved in blocks of at most _ENERGY_BLOCK energies.
-
-    Raises NumericalError for the whole stack if any of its blocks is singular.
-    """
+def _solve(op: CoupledChannelOperator, points: list, stats: Counter):
+    """Flux-normalized blocks (t, r, t_reverse, r_reverse), each of shape
+    (n_points, n_open, n_open), of points that share one set of open channels.
+    Raises NumericalError for the whole block if it is singular."""
     if points[0].open_idx.size == 0:
         first = last = np.zeros((len(points), 0, 0), dtype=complex)
     else:
-        parts = [
-            _corner_recursion(op, points[i : i + _ENERGY_BLOCK], stats)
-            for i in range(0, len(points), _ENERGY_BLOCK)
-        ]
-        first = np.concatenate([f for f, _ in parts])
-        last = np.concatenate([l for _, l in parts])
+        first, last = _corner_recursion(op, points, stats)
     return _boundary_blocks(points, first, last)
 
 
@@ -450,7 +446,8 @@ def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
     sweep over every slice, with no screw-run fold: the reference for the
     folded sweep."""
     point = _prepare(op, e1)
-    blocks = [b[0] for b in _smatrices(replace(op, screw=None), [point], Counter())]
+    _warn_thresholds([e1], [point.threshold_flag])
+    blocks = [b[0] for b in _solve(replace(op, screw=None), [point], Counter())]
     return SMatrix(point.e1, point.open_modes, *blocks, point.threshold_flag)
 
 
@@ -553,26 +550,9 @@ def scattering_density(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """Inputs of an energy sweep over one assembled operator.
-
-    ``energies`` are absolute E1 values (same convention as the operator's
-    include_vg flag).  ``record_l`` bounds |l| of the recorded mode-resolved
-    pairs; ``pair`` selects the polarization pair.  Workers > 1 split the
-    grid into contiguous energy chunks solved in parallel processes.
-    """
-
-    op: CoupledChannelOperator
-    energies: np.ndarray
-    pair: int = 1
-    record_l: int = 2
-    workers: int = 1
-
-
 @dataclass
 class ConductanceCurve:
-    """Energy-resolved transport results with per-point diagnostics."""
+    """Energy-resolved transport results, per-point diagnostics and solver work."""
 
     energies: np.ndarray
     energies_relative: np.ndarray
@@ -586,17 +566,20 @@ class ConductanceCurve:
     flux_error: np.ndarray
     threshold_flags: np.ndarray
     failures: list
-    meta: dict = field(default_factory=dict)
+    solver: dict
 
 
-def _sweep_chunk(op: CoupledChannelOperator, energies, pair: int, record_l: int):
-    """Observables on a contiguous chunk of the energy grid.
+def _sweep_chunk(
+    op: CoupledChannelOperator, energies, start: int, pair: int, record_l: int
+):
+    """Observables on the contiguous chunk of the grid that begins at index
+    ``start``.
 
-    Energies with the same open channels are solved as one stack, and every
-    column is filled for the whole stack from its stacked blocks.  When a
-    stack hits a singular block, it is re-solved one energy at a time, so only
-    the bad point fails.  Returns (columns, failures, stats); failure indices
-    are local to the chunk.
+    Energies with the same open channels form a stack, cut into blocks of at
+    most _ENERGY_BLOCK energies; every column is filled for a whole block from
+    its stacked S-matrix blocks.  A singular block is re-solved one energy at
+    a time, so only the bad point fails.  Returns (columns, failures with grid
+    indices, open-channel sets, stats).
     """
     n_e = len(energies)
     n_rec = 2 * record_l + 1
@@ -610,7 +593,7 @@ def _sweep_chunk(op: CoupledChannelOperator, energies, pair: int, record_l: int)
         "flux_error": np.full(n_e, np.nan),
         "threshold_flags": np.zeros(n_e, dtype=bool),
     }
-    failures: list = []
+    failed: dict = {}  # chunk index -> error message
     stats: Counter = Counter()
     points: dict = {}
     stacks: dict = {}
@@ -618,24 +601,25 @@ def _sweep_chunk(op: CoupledChannelOperator, energies, pair: int, record_l: int)
         try:
             points[i] = _prepare(op, e1)
         except NumericalError as exc:
-            failures.append({"index": i, "e1": float(e1), "error": str(exc)})
+            failed[i] = str(exc)
             continue
         stacks.setdefault(tuple(points[i].open_idx), []).append(i)
-    stats["stacks"] = len(stacks)
 
-    queue = list(stacks.values())
+    queue = [
+        idx[k : k + _ENERGY_BLOCK]
+        for idx in stacks.values()
+        for k in range(0, len(idx), _ENERGY_BLOCK)
+    ]
     while queue:
         idx = queue.pop()
         try:
-            t, r, t_rev, r_rev = _smatrices(op, [points[i] for i in idx], stats)
+            t, r, t_rev, r_rev = _solve(op, [points[i] for i in idx], stats)
         except NumericalError as exc:
             if len(idx) > 1:
                 stats["fallback_points"] += len(idx)
                 queue.extend([i] for i in idx)
             else:
-                failures.append(
-                    {"index": idx[0], "e1": float(energies[idx[0]]), "error": str(exc)}
-                )
+                failed[idx[0]] = str(exc)
             continue
         modes = points[idx[0]].open_modes
         keep = np.flatnonzero(np.abs(modes) <= record_l)
@@ -651,60 +635,56 @@ def _sweep_chunk(op: CoupledChannelOperator, energies, pair: int, record_l: int)
         columns["reciprocity"][idx] = _reciprocity(t, t_rev)
         columns["flux_error"][idx] = _flux_error(t, r, t_rev, r_rev)
         columns["threshold_flags"][idx] = [points[i].threshold_flag for i in idx]
-    failures.sort(key=lambda f: f["index"])
-    return columns, failures, stats
+    failures = [
+        {"index": start + i, "e1": float(energies[i]), "error": error}
+        for i, error in sorted(failed.items())
+    ]
+    return columns, failures, set(stacks), stats
 
 
-def energy_sweep(plan: SweepPlan) -> ConductanceCurve:
-    """Run the scattering problem over an energy grid.
+def energy_sweep(
+    op: CoupledChannelOperator, energies, pair=1, record_l=2, workers=1
+) -> ConductanceCurve:
+    """Run the scattering problem over a grid of absolute E1 values.
 
-    Per-point failures are recorded in ``failures`` and the sweep continues.
-    With ``workers`` > 1 the grid is split into that many contiguous chunks,
-    solved in a process pool.  Every point's result is independent of the
-    chunk and stack it was solved in, so the output is bit-identical for any
-    worker count.
+    ``record_l`` bounds |l| of the recorded mode-resolved pairs; ``pair``
+    selects the polarization pair.  Per-point failures go to ``failures`` and
+    the sweep continues; flagged threshold energies are named in one
+    ThresholdProximityWarning.  With ``workers`` > 1 the grid is split into
+    that many contiguous chunks, solved in a process pool.  A point's result
+    does not depend on its chunk or block, so the output is bit-identical for
+    any worker count, and so is ``solver["stacks"]`` (distinct open-channel
+    sets on the grid); ``inversions`` and ``fallback_points`` count the work
+    done, which a chunk edge splitting a block can change.
     """
-    op = plan.op
-    energies = np.asarray(plan.energies, dtype=float)
-    chunks = np.array_split(energies, max(1, min(plan.workers, energies.size)))
+    energies = np.asarray(energies, dtype=float)
+    chunks = np.array_split(energies, max(1, min(workers, energies.size)))
+    starts = np.cumsum([0] + [c.size for c in chunks[:-1]]).tolist()
+    sweep = functools.partial(_sweep_chunk, op, pair=pair, record_l=record_l)
     if len(chunks) > 1:
-        sweep = functools.partial(
-            _sweep_chunk, op, pair=plan.pair, record_l=plan.record_l
-        )
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(sweep, chunks))
+            parts = list(pool.map(sweep, chunks, starts))
     else:
-        parts = [_sweep_chunk(op, energies, plan.pair, plan.record_l)]
+        parts = [sweep(energies, 0)]
 
-    columns = {k: np.concatenate([p[0][k] for p in parts]) for k in parts[0][0]}
-    failures: list = []
-    stats: Counter = Counter()
-    start = 0
-    for chunk, (_, chunk_failures, chunk_stats) in zip(chunks, parts):
-        failures += [{**f, "index": f["index"] + start} for f in chunk_failures]
-        stats.update(chunk_stats)
-        start += chunk.size
-
+    columns, failures, open_sets, stats = zip(*parts)
+    columns = {k: np.concatenate([c[k] for c in columns]) for k in columns[0]}
+    stats = sum(stats, Counter())
+    _warn_thresholds(energies, columns["threshold_flags"])
     band_bottom = float(np.min(op.lead_offsets))
     return ConductanceCurve(
         energies=energies,
         energies_relative=energies - band_bottom,
-        recorded_modes=np.arange(-plan.record_l, plan.record_l + 1),
-        failures=failures,
-        meta={
-            "include_vg": op.include_vg,
-            "pair": plan.pair,
-            "sigma_index_order": "sigma[l_incident, l_outgoing]",
-            "band_bottom": band_bottom,
-            "solver": {
-                "path": "rgf-batched",
-                "n_slices": int(op.n_slices),
-                "n_modes": int(op.n_modes),
-                "folded_slices": op.screw.stop - op.screw.start if op.screw else 0,
-                "stacks": int(stats["stacks"]),
-                "inversions": int(stats["inversions"]),
-                "fallback_points": int(stats["fallback_points"]),
-            },
+        recorded_modes=np.arange(-record_l, record_l + 1),
+        failures=[f for chunk in failures for f in chunk],
+        solver={
+            "path": "rgf-batched",
+            "n_slices": int(op.n_slices),
+            "n_modes": int(op.n_modes),
+            "folded_slices": op.screw.stop - op.screw.start if op.screw else 0,
+            "stacks": len(set().union(*open_sets)),
+            "inversions": int(stats["inversions"]),
+            "fallback_points": int(stats["fallback_points"]),
         },
         **columns,
     )

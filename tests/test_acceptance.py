@@ -117,7 +117,7 @@ def test_criterion_2_homogeneous_staircase():
         cf.homogeneous_profile(), WELL, basis, length=4.0, dz=0.09, include_vg=True
     )
     e_rel = tr.sweep_energies(0.1, 4.5, 200, np.array([0.0, 1.0, 4.0]))
-    curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=e_rel + VG))
+    curve = tr.energy_sweep(o, e_rel + VG)
     away = (
         np.min(np.abs(e_rel[:, None] - np.array([[1.0, 4.0]])), axis=1) >= 0.05
     )
@@ -210,7 +210,7 @@ def _kappa_scan():
     for kappa in KAPPA_GRID:
         o = helical_op(kappa)
         e_rel = tr.sweep_energies(1.02, 3.98, 120, np.array([1.0, 4.0]))
-        curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=e_rel + VG))
+        curve = tr.energy_sweep(o, e_rel + VG)
         rec = curve.recorded_modes
         i_p = int(np.where(rec == 1)[0][0])
         i_m = int(np.where(rec == -1)[0][0])

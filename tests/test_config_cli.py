@@ -161,6 +161,10 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, route, section, key, lite
 # a value just outside the declared bound or enum of every constrained field
 OUTSIDE = [
     ("profile", "kind", "helix"),
+    ("profile", "epsilon", 0.5000000000000001),
+    ("profile", "ditch_count", 3),
+    ("well", "e0", 0.0),
+    ("well", "omega", 0.0),
     ("sweep", "reference", "Threshold"),
     ("sweep", "n_points", 0),
     ("sweep", "pair", 0),
@@ -192,6 +196,29 @@ def test_cmd_value_outside_constraint_exits_1(
         args += ["--set", f"{section}.{key}={json.dumps(value)}"]
     assert cli.main(args) == 1
     assert f"{section}.{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        ("profile.epsilon=0.7", ["profile.epsilon"]),
+        ("profile.ditch_count=3", ["profile.ditch_count"]),
+        ("well.omega=140", ["well.e0", "well.omega"]),  # e0 keeps its default
+        ("numerics.n_theta=0", ["numerics.n_theta"]),
+        ('chart.params={"radius": -1}', ["chart.params"]),
+    ],
+    ids=["epsilon", "ditch_count", "well", "n_theta", "chart_params"],
+)
+def test_cmd_checked_value_names_its_key(tmp_path, capsys, override, named):
+    # values the library rejects, or that need a second field, still name the
+    # config key rather than only the section
+    config = tmp_path / "cfg.json"
+    config.write_text("{}", encoding="utf-8")
+    args = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(args + ["--set", override]) == 1
+    err = capsys.readouterr().err
+    assert all(key in err for key in named), err
     assert not (tmp_path / "out").exists()
 
 

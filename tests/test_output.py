@@ -106,9 +106,7 @@ def test_sweep_csv_matches_row_writer(tmp_path):
     cfg.sweep.n_points = 7
     run_cli(tmp_path, cfg, "sweep")
     setup = cfgmod.resolve(cfg)
-    curve = transport.energy_sweep(
-        transport.SweepPlan(op=cfgmod.build_operator(setup), energies=setup.energies)
-    )
+    curve = transport.energy_sweep(cfgmod.build_operator(setup), setup.energies)
     rec = curve.recorded_modes
     header = (
         ["E1_raw[e0]", "E1_rel[e0]", "sigma_total[sigma0]"]

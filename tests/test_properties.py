@@ -68,14 +68,14 @@ def test_fold_matches_explicit_recursion(window, e_rel):
     assume(off_threshold(e_rel))
     o = window_operator(**window)
     e1 = e_rel + VG
-    folded = tr._smatrices(o, [tr._prepare(o, e1)], Counter())
+    folded = tr._solve(o, [tr._prepare(o, e1)], Counter())
     explicit = tr.rgf_smatrix(o, e1)
     for name, block in zip(("t", "r", "t_reverse", "r_reverse"), folded):
         np.testing.assert_allclose(
             block[0], getattr(explicit, name), rtol=0, atol=1e-10
         )
     # the sweep reports exactly the folded blocks
-    curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=[e1]))
+    curve = tr.energy_sweep(o, [e1])
     assert curve.sigma_total[0] == np.sum(np.abs(folded[0][0]) ** 2)
 
 
@@ -84,7 +84,7 @@ def test_folded_sweep_unitary_and_reciprocal(window, e_rel):
     assume(off_threshold(e_rel))
     o = window_operator(**window)
     grid = e_rel + VG + np.array([0.0, 0.011, 0.023])
-    curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=grid))
+    curve = tr.energy_sweep(o, grid)
     assert curve.failures == []
     assert np.max(curve.unitarity) <= 1e-9
     assert np.max(curve.reciprocity) <= 1e-9
@@ -96,8 +96,8 @@ def test_folded_sweep_mirror_under_kappa_reversal(window, e_rel):
     assume(off_threshold(e_rel))
     mirrored = {**window, "sign": -window["sign"]}
     plan = dict(energies=[e_rel + VG], record_l=2)
-    curve = tr.energy_sweep(tr.SweepPlan(op=window_operator(**window), **plan))
-    mirror = tr.energy_sweep(tr.SweepPlan(op=window_operator(**mirrored), **plan))
+    curve = tr.energy_sweep(window_operator(**window), **plan)
+    mirror = tr.energy_sweep(window_operator(**mirrored), **plan)
     np.testing.assert_allclose(
         curve.sigma_modes[0], mirror.sigma_modes[0][::-1, ::-1], rtol=0, atol=1e-9
     )
@@ -186,7 +186,8 @@ def valid_values(tp, meta):
     if tp is float:
         low = meta.get("min", meta.get("above"))
         return st.floats(
-            low, exclude_min="above" in meta, allow_nan=False, allow_infinity=False
+            low, meta.get("max"), exclude_min="above" in meta,
+            allow_nan=False, allow_infinity=False,
         )
     if tp is int:
         return st.integers(min_value=meta.get("min"))
@@ -198,17 +199,22 @@ def valid_values(tp, meta):
 
 def invalid_values(tp, meta):
     """Values outside the declared bound or enum; None if the field has neither."""
-    if get_origin(tp) is Literal:
-        return st.text().filter(lambda text: text not in get_args(tp))
+    enum = [get_args(a) for a in (tp, *get_args(tp)) if get_origin(a) is Literal]
+    if enum and isinstance(enum[0][0], str):
+        return st.text().filter(lambda text: text not in enum[0])
+    if enum:  # bools and floats equal to an allowed integer are outside too
+        others = st.integers().filter(lambda v: v not in enum[0])
+        return others | st.sampled_from([float(v) for v in enum[0]]) | st.booleans()
     if "min" in meta and int in get_args(tp) + (tp,):
         return st.integers(max_value=meta["min"] - 1)
-    if meta:  # a float bound: "min" excludes it, "above" includes it
-        bound = meta.get("min", meta.get("above"))
-        return st.floats(
-            max_value=bound, exclude_max="min" in meta, allow_nan=False,
-            allow_infinity=False,
-        )
-    return None
+    finite = dict(allow_nan=False, allow_infinity=False)
+    outside = []  # a float bound: "min" and "max" exclude it, "above" includes it
+    if "min" in meta or "above" in meta:
+        low = meta.get("min", meta.get("above"))
+        outside.append(st.floats(max_value=low, exclude_max="min" in meta, **finite))
+    if "max" in meta:
+        outside.append(st.floats(min_value=meta["max"], exclude_min=True, **finite))
+    return st.one_of(outside) if outside else None
 
 
 CONSTRAINED = [
@@ -236,7 +242,8 @@ valid_configs = st.builds(
 def test_constrained_fields_are_the_declared_ones():
     names = {f"{section}.{key}" for section, key, _ in CONSTRAINED}
     assert names == {
-        "profile.kind", "sweep.reference",
+        "profile.kind", "profile.epsilon", "profile.ditch_count", "sweep.reference",
+        "well.e0", "well.omega",
         "sweep.n_points", "sweep.pair", "sweep.record_l",
         "numerics.workers", "numerics.grid_n1", "numerics.grid_n2",
         "numerics.spectrum_count", "numerics.taper", "numerics.lead_pad",

@@ -1,5 +1,6 @@
 """Scattering solver: unitarity, oracles, symmetries, densities, sweeps."""
 
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -230,7 +231,7 @@ def test_reciprocity_explicit_recursion():
 def test_reciprocity_of_folded_sweep():
     o = helical_operator(kappa=0.5, taper_pitches=1.0)
     assert o.screw is not None
-    curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=np.linspace(0.3, 4.4, 24) + VG))
+    curve = tr.energy_sweep(o, np.linspace(0.3, 4.4, 24) + VG)
     assert curve.failures == []
     assert np.max(curve.reciprocity) <= 1e-9
 
@@ -253,6 +254,8 @@ def test_threshold_proximity_flagged():
     with pytest.warns(ThresholdProximityWarning):
         s = tr.rgf_smatrix(o, 1.0 + 1e-12)
     assert s.threshold_flag
+    with pytest.warns(ThresholdProximityWarning):
+        tr.scattering_density(o, 1.0 + 1e-12, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +385,7 @@ def test_staircase_homogeneous():
     # analytic thresholds E_l = l^2/r^2: plateau integer heights 1 -> 3 -> 5
     o = homogeneous_operator(l_max=3, include_vg=False)
     energies = tr.sweep_energies(0.1, 4.5, 200, np.array([0.0, 1.0, 4.0]))
-    plan = tr.SweepPlan(op=o, energies=energies)
-    curve = tr.energy_sweep(plan)
+    curve = tr.energy_sweep(o, energies)
     exact = 1.0 * (energies > 0) + 2.0 * (energies > 1) + 2.0 * (energies > 4)
     away = np.min(
         np.abs(energies[:, None] - np.array([1.0, 4.0])[None, :]), axis=1
@@ -396,7 +398,7 @@ def test_staircase_homogeneous():
 def test_sweep_respects_channel_count_bound():
     o = helical_operator()
     energies = np.linspace(0.5, 3.95, 40) + VG
-    curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies))
+    curve = tr.energy_sweep(o, energies)
     finite = np.isfinite(curve.sigma_total)
     assert np.all(curve.sigma_total[finite] >= -1e-12)
     assert np.all(curve.sigma_total[finite] <= curve.n_open[finite] + 1e-9)
@@ -427,7 +429,7 @@ def test_sweep_flags_thresholds_and_continues():
     o = helical_operator(pitches=4.0)
     energies = np.array([1.0, 2.0]) + VG  # first point exactly on a threshold
     with pytest.warns(ThresholdProximityWarning):
-        curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies))
+        curve = tr.energy_sweep(o, energies)
     assert curve.failures == []
     assert bool(curve.threshold_flags[0]) is True
     assert bool(curve.threshold_flags[1]) is False
@@ -437,8 +439,8 @@ def test_sweep_flags_thresholds_and_continues():
 def test_sweep_parallel_matches_serial_bitwise():
     o = helical_operator(pitches=4.0, l_max=4)
     energies = np.linspace(0.8, 3.0, 8) + VG
-    serial = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies, workers=1))
-    parallel = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies, workers=2))
+    serial = tr.energy_sweep(o, energies, workers=1)
+    parallel = tr.energy_sweep(o, energies, workers=2)
     np.testing.assert_array_equal(serial.sigma_total, parallel.sigma_total)
     np.testing.assert_array_equal(serial.p_lz, parallel.p_lz)
     np.testing.assert_array_equal(serial.sigma_modes, parallel.sigma_modes)
@@ -476,15 +478,13 @@ def test_sweep_columns_match_per_point_mapping(record_l):
     o = helical_operator(pitches=4.0, l_max=4)
     energies = np.array([-0.3, 0.4, 1.0, 1.9, 2.8, 4.05, 4.3]) + VG
     with pytest.warns(ThresholdProximityWarning):
-        curve = tr.energy_sweep(
-            tr.SweepPlan(op=o, energies=energies, pair=1, record_l=record_l)
-        )
+        curve = tr.energy_sweep(o, energies, pair=1, record_l=record_l)
         points = [tr._prepare(o, e1) for e1 in energies]
     assert curve.failures == []
     assert list(curve.n_open) == [0, 1, 1, 3, 3, 5, 5]
     assert list(curve.threshold_flags) == [False, False, True] + [False] * 4
     for i, point in enumerate(points):
-        blocks = [b[0] for b in tr._smatrices(o, [point], Counter())]
+        blocks = [b[0] for b in tr._solve(o, [point], Counter())]
         s = tr.SMatrix(point.e1, point.open_modes, *blocks, point.threshold_flag)
         for name, ref in per_point_columns(s, 1, record_l).items():
             np.testing.assert_allclose(
@@ -522,16 +522,38 @@ def test_sweep_results_independent_of_chunking():
     # point must come out bit for bit the same in any chunk or stack
     o = helical_operator(pitches=4.0, l_max=4)
     energies = np.linspace(-0.2, 4.2, 11) + VG
-    points = [tr.energy_sweep(tr.SweepPlan(op=o, energies=[e1])) for e1 in energies]
+    points = [tr.energy_sweep(o, [e1]) for e1 in energies]
+    stacks = []
     for workers in (1, 2, 3):
-        curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies, workers=workers))
+        curve = tr.energy_sweep(o, energies, workers=workers)
         assert curve.failures == []
         for name in ("sigma_total", "sigma_modes", "p_lz"):
             per_point = np.concatenate([getattr(p, name) for p in points])
             np.testing.assert_array_equal(getattr(curve, name), per_point)
-    solver = curve.meta["solver"]
+        stacks.append(curve.solver["stacks"])
+    solver = curve.solver
     assert solver["path"] == "rgf-batched"
     assert solver["fallback_points"] == 0
+    # the open-channel sets of the whole grid: 0, 1, 3 and 5 open modes
+    assert stacks == [4, 4, 4]
+
+
+def test_sweep_threshold_warning_reaches_caller_for_any_worker_count():
+    # pool workers must not swallow the warning: the sweep warns once, in the
+    # calling process, naming every flagged energy
+    o = helical_operator(pitches=4.0, l_max=4)
+    energies = np.array([0.5, 1.0, 2.0, 3.0, 4.0]) + VG  # 1 and 4: thresholds
+    recorded = []
+    for workers in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            curve = tr.energy_sweep(o, energies, workers=workers)
+        assert list(curve.threshold_flags) == [False, True, False, False, True]
+        recorded.append([(w.category, str(w.message)) for w in caught])
+    assert recorded[0] == recorded[1]
+    [(category, message)] = recorded[0]
+    assert category is ThresholdProximityWarning
+    assert f"E1 = {float(energies[1])!r}, {float(energies[4])!r} within" in message
 
 
 def test_fold_exact_at_eigenvalues_of_the_isolated_run():
@@ -545,7 +567,7 @@ def test_fold_exact_at_eigenvalues_of_the_isolated_run():
     eigs = eigs[(eigs > VG + 0.05) & (eigs < VG + 4.4)]
     assert eigs.size >= 3
     for e1 in eigs:
-        folded = tr._smatrices(o, [tr._prepare(o, e1)], Counter())
+        folded = tr._solve(o, [tr._prepare(o, e1)], Counter())
         explicit = tr.rgf_smatrix(o, e1)
         for name, block in zip(("t", "r", "t_reverse", "r_reverse"), folded):
             np.testing.assert_allclose(
@@ -561,7 +583,7 @@ def test_sweep_point_failure_is_isolated(monkeypatch, fault, workers):
     o = helical_operator(pitches=4.0, l_max=4, lead_pad_pitches=0.5)
     energies = np.linspace(0.4, 3.6, 9) + VG
     bad = 5
-    clean = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies))
+    clean = tr.energy_sweep(o, energies)
     real_self_energy = tr.lead_self_energy
 
     def faulty_self_energy(leads, dz):
@@ -572,13 +594,39 @@ def test_sweep_point_failure_is_isolated(monkeypatch, fault, workers):
         return leads.e1 - np.diag(o.onsite[0])
 
     monkeypatch.setattr(tr, "lead_self_energy", faulty_self_energy)
-    curve = tr.energy_sweep(tr.SweepPlan(op=o, energies=energies, workers=workers))
+    curve = tr.energy_sweep(o, energies, workers=workers)
     assert [f["index"] for f in curve.failures] == [bad]
     if fault == "singular_block":
         assert "slice 0 inversion failed" in curve.failures[0]["error"]
-        assert curve.meta["solver"]["fallback_points"] > 1
+        assert curve.solver["fallback_points"] > 1
     ok = np.arange(energies.size) != bad
     assert np.isnan(curve.sigma_total[bad])
+    for name in ("sigma_total", "sigma_modes", "p_lz", "unitarity", "flux_error"):
+        np.testing.assert_array_equal(
+            getattr(curve, name)[ok], getattr(clean, name)[ok]
+        )
+
+
+def test_singular_block_falls_back_alone(monkeypatch):
+    # one stack of 40 energies with three open channels: blocks of 32 and 8;
+    # a forged singular point re-solves its own block only
+    o = helical_operator(pitches=4.0, l_max=4, lead_pad_pitches=0.5)
+    energies = np.linspace(1.1, 3.9, 40) + VG
+    bad = 5
+    clean = tr.energy_sweep(o, energies)
+    assert set(clean.n_open) == {3}
+    real_self_energy = tr.lead_self_energy
+
+    def faulty_self_energy(leads, dz):
+        if leads.e1 != energies[bad]:
+            return real_self_energy(leads, dz)
+        return leads.e1 - np.diag(o.onsite[0])
+
+    monkeypatch.setattr(tr, "lead_self_energy", faulty_self_energy)
+    curve = tr.energy_sweep(o, energies)
+    assert [f["index"] for f in curve.failures] == [bad]
+    assert curve.solver["fallback_points"] == tr._ENERGY_BLOCK == 32
+    ok = np.arange(energies.size) != bad
     for name in ("sigma_total", "sigma_modes", "p_lz", "unitarity", "flux_error"):
         np.testing.assert_array_equal(
             getattr(curve, name)[ok], getattr(clean, name)[ok]
