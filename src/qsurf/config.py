@@ -308,7 +308,10 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
                 round_omega=p.round_omega,
             )
     except ProfileError as exc:
-        raise ConfigError(f"profile: {exc}") from exc
+        # name the config keys behind the library's omega*radius checks
+        message = str(exc).replace("pass round_omega=True", "set profile.round_omega")
+        message = message.replace("omega*radius", "profile.omega * chart.params.radius")
+        raise ConfigError(f"profile: {message}") from exc
 
     num = cfg.numerics
     band_bottom = operator.ChannelBasis(0, radius).threshold(0, num.include_vg)

@@ -17,7 +17,7 @@ Everything is in natural units (hbar = 1, 2m = 1, lengths a, energies e0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,16 +75,20 @@ class ChannelBasis:
 
 @dataclass(frozen=True)
 class LeadModeSet:
-    """Propagation data of the clean leads at a given energy.
+    """Propagation data of the clean leads at one energy or a stack of them.
 
     Per channel l: longitudinal momentum ``k`` (complex; imaginary part for
     evanescent channels), Bloch factor ``e^{i k dz}``, lattice group velocity
     ``v = (2/dz) sin(k dz)`` (zero for evanescent channels) and openness.
     A channel is open iff E1 > E_l + V_g (strict; ties count as evanescent),
     with E_l = l^2/r^2 and V_g included according to ``include_vg``.
+
+    For a scalar ``e1`` these fields have shape (n_modes,).  For a 1-D array
+    of energies ``e1`` is that array, and ``k``, ``bloch``, ``velocity`` and
+    ``open_mask`` have shape (n_energies, n_modes), row i belonging to e1[i].
     """
 
-    e1: float
+    e1: float | np.ndarray
     dz: float
     modes: np.ndarray
     offsets: np.ndarray
@@ -95,18 +99,21 @@ class LeadModeSet:
     include_vg: bool
 
     @property
-    def n_open(self) -> int:
-        return int(np.count_nonzero(self.open_mask))
+    def n_open(self):
+        """Number of open channels; an array over the energies of a stack."""
+        return np.count_nonzero(self.open_mask, axis=-1)
 
     @property
     def open_modes(self) -> np.ndarray:
+        """The open modes, in ascending order; defined for one energy only."""
         return self.modes[self.open_mask]
 
 
 def lead_modes(
-    e1: float, basis: ChannelBasis, dz: float, include_vg: bool = True
+    e1, basis: ChannelBasis, dz: float, include_vg: bool = True
 ) -> LeadModeSet:
-    """Exact eigenmodes of the discrete clean lead at energy e1.
+    """Exact eigenmodes of the discrete clean lead at energy e1, a scalar or a
+    1-D array of energies (see :class:`LeadModeSet` for the energy axis).
 
     The lattice dispersion E = offset + (2/dz^2)(1 - cos k dz) is inverted for
     all channels at once with x = cos(k dz): |x| < 1 is open; x >= 1 (ties
@@ -114,9 +121,10 @@ def lead_modes(
     alternating sign, k = pi/dz + i kappa.  |e^{i k dz}| <= 1 on every branch
     (= 1 on open channels, up to rounding).
     """
+    e1 = np.asarray(e1, dtype=float)
     modes = basis.modes
     offsets = basis.threshold(modes, include_vg)
-    x = 1.0 - (e1 - offsets) * dz**2 / 2.0
+    x = 1.0 - (e1[..., None] - offsets) * dz**2 / 2.0
 
     open_mask = np.abs(x) < 1.0
     above = x >= 1.0
@@ -133,7 +141,7 @@ def lead_modes(
     velocity = 2.0 * s / dz
 
     return LeadModeSet(
-        e1=float(e1),
+        e1=e1 if e1.ndim else float(e1),
         dz=float(dz),
         modes=modes,
         offsets=offsets,
@@ -249,7 +257,6 @@ class CoupledChannelOperator:
     window: tuple[float, float]
     n_pad: int
     style: str  # "open" (transport) or "closed" (Dirichlet segment)
-    meta: dict = field(default_factory=dict)
     screw: Optional[ScrewRun] = None
 
     @property
@@ -264,7 +271,7 @@ class CoupledChannelOperator:
     def n_modes(self) -> int:
         return self.basis.n_modes
 
-    def lead_mode_set(self, e1: float) -> LeadModeSet:
+    def lead_mode_set(self, e1) -> LeadModeSet:
         return lead_modes(e1, self.basis, self.dz, include_vg=self.include_vg)
 
     def sparse(self) -> sp.csr_matrix:
@@ -431,12 +438,6 @@ def assemble_coupled_channel(
         window=(0.0, float(length)),
         n_pad=n_pad,
         style="closed" if closed else "open",
-        meta={
-            "taper": float(taper),
-            "profile_kind": profile.kind,
-            "m_d": profile.theta_harmonic,
-            "epsilon": profile.epsilon,
-        },
         screw=screw,
     )
 

@@ -8,8 +8,8 @@ amplitudes follow from the lead Bloch factors with lattice-velocity flux
 normalization, so S-matrix unitarity holds to machine precision on the
 lattice.
 
-Two solvers share one setup (:func:`_prepare`: lead modes, threshold flag,
-self-energy):
+Every solver starts from :func:`_leads`: the lead modes and threshold flags
+of one energy, or of a stack of energies with one array row per energy:
 
 * the S-matrix only needs the wavefunction on the two boundary slices, i.e.
   the corner blocks G_11, G_N1, G_1N, G_NN of the retarded Green's function.
@@ -194,32 +194,16 @@ class SMatrix:
         return float(_reciprocity(self.t, self.t_reverse))
 
 
-class _Point(NamedTuple):
-    """Energy-dependent setup of one scattering problem (see :func:`_prepare`)."""
-
-    e1: float
-    leads: LeadModeSet
-    open_idx: np.ndarray
-    open_modes: np.ndarray
-    sigma: np.ndarray
-    threshold_flag: bool
-
-
-def _prepare(op: CoupledChannelOperator, e1: float) -> _Point:
-    """Lead modes, open channels, self-energy and threshold flag at e1.
-
-    A NumericalError raised here concerns this energy only.  The caller warns
-    about flagged energies (:func:`_warn_thresholds`), so that a sweep warns
-    once, in the calling process, for any worker count.
-    """
+def _leads(op: CoupledChannelOperator, e1):
+    """Lead modes at e1, a scalar or a 1-D array of energies, and the flag of
+    each energy within THRESHOLD_ATOL of a channel threshold.  The caller
+    warns about flagged energies (:func:`_warn_thresholds`), so that a sweep
+    warns once, in the calling process, for any worker count."""
     if op.style != "open":
         raise ValueError("transport needs an operator assembled with closed=False")
     leads = op.lead_mode_set(e1)
-    threshold_flag = bool(np.min(np.abs(e1 - leads.offsets)) < THRESHOLD_ATOL)
-    sigma = lead_self_energy(leads, op.dz)
-    open_idx = np.nonzero(leads.open_mask)[0]
-    modes = leads.modes[open_idx]
-    return _Point(float(e1), leads, open_idx, modes, sigma, threshold_flag)
+    gaps = np.abs(np.asarray(leads.e1)[..., None] - leads.offsets)
+    return leads, np.min(gaps, axis=-1) < THRESHOLD_ATOL
 
 
 def _warn_thresholds(energies, flags) -> None:
@@ -230,40 +214,40 @@ def _warn_thresholds(energies, flags) -> None:
         warnings.warn(message, ThresholdProximityWarning, stacklevel=3)
 
 
-def _injection_amplitudes(point: _Point, dz: float) -> np.ndarray:
+def _injection_amplitudes(bloch, velocity, dz: float) -> np.ndarray:
     """Source strengths i (v_l/dz) e^{i k_l dz} of the open channels."""
-    leads, open_idx = point.leads, point.open_idx
-    return 1j * (leads.velocity[open_idx] / dz) * leads.bloch[open_idx]
+    return 1j * (velocity / dz) * bloch
 
 
 def _scattering_solution(op: CoupledChannelOperator, e1: float):
     """Scattering state on every slice by one sparse direct solve, for
     unit-amplitude injection in every open channel from both sides.
 
-    Returns (point, psi) with psi of shape (n_slices, n_modes, 2*n_open);
-    columns 0..n_open-1 are left incidence in the order of open modes, the
-    rest right incidence.
+    Returns (open_idx, psi): the indices of the open modes, and psi of shape
+    (n_slices, n_modes, 2*n_open) whose columns 0..n_open-1 are left
+    incidence in the order of open modes, the rest right incidence.
     """
-    point = _prepare(op, e1)
-    _warn_thresholds([e1], [point.threshold_flag])
-    open_idx = point.open_idx
+    leads, flag = _leads(op, e1)
+    sigma = lead_self_energy(leads, op.dz)
+    _warn_thresholds([e1], [flag])
+    open_idx = np.flatnonzero(leads.open_mask)
     n_sl, n = op.n_slices, op.n_modes
     n_open = open_idx.size
     if n_open == 0:
-        return point, np.zeros((n_sl, n, 0), dtype=complex)
+        return open_idx, np.zeros((n_sl, n, 0), dtype=complex)
 
     diag = np.full(n_sl * n, e1, dtype=complex)
-    diag[:n] -= point.sigma
-    diag[-n:] -= point.sigma
+    diag[:n] -= sigma
+    diag[-n:] -= sigma
     rhs = np.zeros((n_sl * n, 2 * n_open), dtype=complex)
-    amp = _injection_amplitudes(point, op.dz)
+    amp = _injection_amplitudes(leads.bloch[open_idx], leads.velocity[open_idx], op.dz)
     rhs[open_idx, np.arange(n_open)] = amp
     rhs[(n_sl - 1) * n + open_idx, n_open + np.arange(n_open)] = amp
     try:
         lu = splu((sp.diags(diag) - op.sparse()).tocsc())
     except RuntimeError as exc:
         raise NumericalError(f"sparse factorisation failed: {exc}") from exc
-    return point, lu.solve(rhs).reshape(n_sl, n, 2 * n_open)
+    return open_idx, lu.solve(rhs).reshape(n_sl, n, 2 * n_open)
 
 
 class _Corners(NamedTuple):
@@ -357,24 +341,23 @@ def _attach_screw_run(
     )
 
 
-def _corner_recursion(op: CoupledChannelOperator, points: list, stats: Counter):
-    """Boundary-slice scattering states for a stack of energies that share one
-    set of open channels.
+def _corner_recursion(op, e1, sigma, open_idx, amps, stats: Counter):
+    """Boundary-slice scattering states for energies e1 (n_e,) that share the
+    open channels open_idx, given sigma (n_e, n_modes) and amps (n_e, n_open).
 
     Runs the forward-only corner recursion of the module docstring with one
     batched inversion per slice, and folds the screw run of ``op`` (if any)
-    in one step.  Returns (first, last), each of shape
-    (n_points, n_open, 2*n_open): psi on the first and last slice restricted
-    to the open channels, columns ordered as in :func:`_scattering_solution`.
+    in one step.  Returns (first, last), each of shape (n_e, n_open, 2*n_open):
+    psi on the first and last slice restricted to the open channels, columns
+    ordered as in :func:`_scattering_solution`.
     """
-    open_idx = points[0].open_idx
     n_sl, n = op.n_slices, op.n_modes
     run = op.screw
     b = -op.hop
     idx = np.arange(n)
-    e_eye = np.array([p.e1 for p in points])[:, None, None] * np.eye(n)
-    sigma_eye = np.zeros((len(points), n, n), dtype=complex)
-    sigma_eye[:, idx, idx] = [p.sigma for p in points]
+    e_eye = e1[:, None, None] * np.eye(n)
+    sigma_eye = np.zeros((e1.size, n, n), dtype=complex)
+    sigma_eye[:, idx, idx] = sigma
     for j in range(n_sl):
         if run is not None and run.start <= j < run.stop:
             if j == run.start:
@@ -400,7 +383,6 @@ def _corner_recursion(op: CoupledChannelOperator, points: list, stats: Counter):
             g_j1 = h @ g_j1
             g_11 += bg_1j @ g_j1
             bg_1j = bg_1j @ h
-    amps = np.array([_injection_amplitudes(p, op.dz) for p in points])
     amps = np.concatenate([amps, amps], axis=1)[:, None, :]
     g_nn = g[:, open_idx][:, :, open_idx]
     first = np.concatenate([g_11, bg_1j[:, :, open_idx] / -b], axis=2)
@@ -408,14 +390,12 @@ def _corner_recursion(op: CoupledChannelOperator, points: list, stats: Counter):
     return first * amps, last * amps
 
 
-def _boundary_blocks(points: list, first: np.ndarray, last: np.ndarray):
-    """Flux-normalized blocks (t, r, t_reverse, r_reverse) of a stack of
-    points from psi on the first and last slice (open-channel rows, columns as
-    in :func:`_scattering_solution`), each of shape (n_points, n_open, n_open)."""
-    open_idx = points[0].open_idx
-    n_open = open_idx.size
-    bloch = np.array([p.leads.bloch[open_idx] for p in points])
-    root_v = np.sqrt([p.leads.velocity[open_idx] for p in points])
+def _boundary_blocks(bloch, velocity, first: np.ndarray, last: np.ndarray):
+    """Flux-normalized blocks (t, r, t_reverse, r_reverse), each (n_e, n_open,
+    n_open), from the open channels' bloch and velocity (n_e, n_open) and psi
+    on the first and last slice (open rows, columns as in _scattering_solution)."""
+    n_open = bloch.shape[-1]
+    root_v = np.sqrt(velocity)
     flux = root_v[:, :, None] / root_v[:, None, :]
     first = bloch[:, :, None] * first
     last = bloch[:, :, None] * last
@@ -430,25 +410,32 @@ def _boundary_blocks(points: list, first: np.ndarray, last: np.ndarray):
     )
 
 
-def _solve(op: CoupledChannelOperator, points: list, stats: Counter):
-    """Flux-normalized blocks (t, r, t_reverse, r_reverse), each of shape
-    (n_points, n_open, n_open), of points that share one set of open channels.
-    Raises NumericalError for the whole block if it is singular."""
-    if points[0].open_idx.size == 0:
-        first = last = np.zeros((len(points), 0, 0), dtype=complex)
+def _solve(op: CoupledChannelOperator, energies, stats: Counter):
+    """Flux-normalized blocks (t, r, t_reverse, r_reverse), each (n_e, n_open,
+    n_open), of energies that share one set of open channels.  Raises
+    NumericalError for the whole block if it is singular or a self-energy fails."""
+    leads, _ = _leads(op, energies)
+    sigma = lead_self_energy(leads, op.dz)
+    open_idx = np.flatnonzero(leads.open_mask[0])
+    # contiguous, so that block sums add in the same order at any stack size
+    bloch = np.ascontiguousarray(leads.bloch[:, open_idx])
+    velocity = np.ascontiguousarray(leads.velocity[:, open_idx])
+    if open_idx.size == 0:
+        first = last = np.zeros((bloch.shape[0], 0, 0), dtype=complex)
     else:
-        first, last = _corner_recursion(op, points, stats)
-    return _boundary_blocks(points, first, last)
+        amps = _injection_amplitudes(bloch, velocity, op.dz)
+        first, last = _corner_recursion(op, leads.e1, sigma, open_idx, amps, stats)
+    return _boundary_blocks(bloch, velocity, first, last)
 
 
 def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
     """S-matrix at energy e1 via the explicit recursive Green's function
     sweep over every slice, with no screw-run fold: the reference for the
     folded sweep."""
-    point = _prepare(op, e1)
-    _warn_thresholds([e1], [point.threshold_flag])
-    blocks = [b[0] for b in _solve(replace(op, screw=None), [point], Counter())]
-    return SMatrix(point.e1, point.open_modes, *blocks, point.threshold_flag)
+    leads, flag = _leads(op, e1)
+    _warn_thresholds([e1], [flag])
+    blocks = [b[0] for b in _solve(replace(op, screw=None), [e1], Counter())]
+    return SMatrix(float(e1), leads.open_modes, *blocks, bool(flag))
 
 
 def conductance(s: SMatrix):
@@ -519,15 +506,15 @@ def scattering_density(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    point, psi = _scattering_solution(op, e1)
-    hits = np.nonzero(point.open_modes == l_incident)[0]
+    open_idx, psi = _scattering_solution(op, e1)
+    hits = np.flatnonzero(op.basis.modes[open_idx] == l_incident)
     if hits.size == 0:
         offset = op.basis.threshold(l_incident, op.include_vg)
         raise ClosedChannelError(
             f"mode {l_incident} is closed at E1 = {e1:.6g} "
             f"(threshold {offset:.6g})"
         )
-    col = int(hits[0]) if side == "left" else point.open_idx.size + int(hits[0])
+    col = int(hits[0]) if side == "left" else open_idx.size + int(hits[0])
     amps = psi[:, :, col]  # (n_slices, n_modes)
 
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
@@ -577,12 +564,13 @@ def _sweep_chunk(
 
     Energies with the same open channels form a stack, cut into blocks of at
     most _ENERGY_BLOCK energies; every column is filled for a whole block from
-    its stacked S-matrix blocks.  A singular block is re-solved one energy at
-    a time, so only the bad point fails.  Returns (columns, failures with grid
-    indices, open-channel sets, stats).
+    its stacked S-matrix blocks.  A failed block (singular, or a self-energy
+    fault) is re-solved one energy at a time, so only the bad point fails.
+    Returns (columns, failures with grid indices, open-channel sets, stats).
     """
     n_e = len(energies)
     n_rec = 2 * record_l + 1
+    leads, flags = _leads(op, energies)
     columns = {
         "sigma_total": np.full(n_e, np.nan),
         "sigma_modes": np.full((n_e, n_rec, n_rec), np.nan),
@@ -591,19 +579,13 @@ def _sweep_chunk(
         "unitarity": np.full(n_e, np.nan),
         "reciprocity": np.full(n_e, np.nan),
         "flux_error": np.full(n_e, np.nan),
-        "threshold_flags": np.zeros(n_e, dtype=bool),
+        "threshold_flags": flags,
     }
     failed: dict = {}  # chunk index -> error message
     stats: Counter = Counter()
-    points: dict = {}
-    stacks: dict = {}
-    for i, e1 in enumerate(energies):
-        try:
-            points[i] = _prepare(op, e1)
-        except NumericalError as exc:
-            failed[i] = str(exc)
-            continue
-        stacks.setdefault(tuple(points[i].open_idx), []).append(i)
+    stacks: dict = {}  # open-channel indices -> chunk indices, in grid order
+    for i, mask in enumerate(leads.open_mask):
+        stacks.setdefault(tuple(np.flatnonzero(mask)), []).append(i)
 
     queue = [
         idx[k : k + _ENERGY_BLOCK]
@@ -613,7 +595,7 @@ def _sweep_chunk(
     while queue:
         idx = queue.pop()
         try:
-            t, r, t_rev, r_rev = _solve(op, [points[i] for i in idx], stats)
+            t, r, t_rev, r_rev = _solve(op, energies[idx], stats)
         except NumericalError as exc:
             if len(idx) > 1:
                 stats["fallback_points"] += len(idx)
@@ -621,7 +603,7 @@ def _sweep_chunk(
             else:
                 failed[idx[0]] = str(exc)
             continue
-        modes = points[idx[0]].open_modes
+        modes = leads.modes[leads.open_mask[idx[0]]]
         keep = np.flatnonzero(np.abs(modes) <= record_l)
         window = modes[keep] + record_l  # recorded open modes, window positions
         columns["sigma_modes"][idx] = 0.0
@@ -634,7 +616,6 @@ def _sweep_chunk(
         columns["unitarity"][idx] = _unitarity(t, r, t_rev, r_rev)
         columns["reciprocity"][idx] = _reciprocity(t, t_rev)
         columns["flux_error"][idx] = _flux_error(t, r, t_rev, r_rev)
-        columns["threshold_flags"][idx] = [points[i].threshold_flag for i in idx]
     failures = [
         {"index": start + i, "e1": float(energies[i]), "error": error}
         for i, error in sorted(failed.items())

@@ -207,8 +207,19 @@ def test_cmd_value_outside_constraint_exits_1(
         ("well.omega=140", ["well.e0", "well.omega"]),  # e0 keeps its default
         ("numerics.n_theta=0", ["numerics.n_theta"]),
         ('chart.params={"radius": -1}', ["chart.params"]),
+        (
+            ("profile.omega=0.3", "profile.ditch_count=null"),
+            ["profile.omega", "chart.params.radius"],
+        ),
+        (
+            ("profile.omega=2.5", "profile.ditch_count=null"),
+            ["profile.omega", "chart.params.radius", "profile.round_omega"],
+        ),
     ],
-    ids=["epsilon", "ditch_count", "well", "n_theta", "chart_params"],
+    ids=[
+        "epsilon", "ditch_count", "well", "n_theta", "chart_params",
+        "omega_below_1", "omega_off_integer",
+    ],
 )
 def test_cmd_checked_value_names_its_key(tmp_path, capsys, override, named):
     # values the library rejects, or that need a second field, still name the
@@ -216,7 +227,9 @@ def test_cmd_checked_value_names_its_key(tmp_path, capsys, override, named):
     config = tmp_path / "cfg.json"
     config.write_text("{}", encoding="utf-8")
     args = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
-    assert cli.main(args + ["--set", override]) == 1
+    for assignment in [override] if isinstance(override, str) else override:
+        args += ["--set", assignment]
+    assert cli.main(args) == 1
     err = capsys.readouterr().err
     assert all(key in err for key in named), err
     assert not (tmp_path / "out").exists()

@@ -365,6 +365,33 @@ def test_lead_modes_band_edges_exact():
     assert top.velocity[1] == 0.0
 
 
+@pytest.mark.parametrize("include_vg", [False, True])
+@pytest.mark.parametrize("dz", [0.5, 0.07])
+def test_lead_modes_stacked_match_per_energy(dz, include_vg):
+    # the grid holds every channel threshold (x = cos(k dz) = 1) and every top
+    # band edge (x = -1, hit exactly at dz = 0.5, as above)
+    basis = op.ChannelBasis(l_max=3, radius=1.0)
+    offsets = basis.threshold(basis.modes, include_vg)
+    energies = np.concatenate(
+        [np.linspace(-1.0, 30.0, 41), offsets, offsets + 4.0 / dz**2, [1.0, 16.0]]
+    )
+    x = 1.0 - (energies[:, None] - offsets) * dz**2 / 2.0
+    assert np.any(x == 1.0)
+    assert np.any(x == -1.0) or dz != 0.5
+    stacked = op.lead_modes(energies, basis, dz, include_vg=include_vg)
+    np.testing.assert_array_equal(stacked.e1, energies)
+    for name in ("k", "bloch", "velocity", "open_mask"):
+        assert getattr(stacked, name).shape == (energies.size, basis.n_modes), name
+    for i, e1 in enumerate(energies):
+        one = op.lead_modes(e1, basis, dz, include_vg=include_vg)
+        assert one.e1 == e1 and isinstance(one.e1, float)
+        for name in ("k", "bloch", "velocity", "open_mask"):
+            np.testing.assert_array_equal(
+                getattr(stacked, name)[i], getattr(one, name), err_msg=name
+            )
+        assert stacked.n_open[i] == one.n_open
+
+
 def test_lowest_eigenvalues_need_a_shift_below_the_spectrum():
     # shift-invert returns the eigenvalues nearest sigma: the former default
     # sigma = -1 misses the bottom of a spectrum that reaches below -1

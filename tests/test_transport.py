@@ -479,13 +479,13 @@ def test_sweep_columns_match_per_point_mapping(record_l):
     energies = np.array([-0.3, 0.4, 1.0, 1.9, 2.8, 4.05, 4.3]) + VG
     with pytest.warns(ThresholdProximityWarning):
         curve = tr.energy_sweep(o, energies, pair=1, record_l=record_l)
-        points = [tr._prepare(o, e1) for e1 in energies]
+        points = [tr._leads(o, e1) for e1 in energies]
     assert curve.failures == []
     assert list(curve.n_open) == [0, 1, 1, 3, 3, 5, 5]
     assert list(curve.threshold_flags) == [False, False, True] + [False] * 4
-    for i, point in enumerate(points):
-        blocks = [b[0] for b in tr._solve(o, [point], Counter())]
-        s = tr.SMatrix(point.e1, point.open_modes, *blocks, point.threshold_flag)
+    for i, (leads, flag) in enumerate(points):
+        blocks = [b[0] for b in tr._solve(o, [energies[i]], Counter())]
+        s = tr.SMatrix(energies[i], leads.open_modes, *blocks, bool(flag))
         for name, ref in per_point_columns(s, 1, record_l).items():
             np.testing.assert_allclose(
                 getattr(curve, name)[i], ref, rtol=0, atol=1e-15, err_msg=name
@@ -504,10 +504,13 @@ def test_batched_smatrix_matches_sparse_solve():
     n_open = []
     for e1 in e_rel + VG:
         s = tr.rgf_smatrix(o, e1)
-        point, psi = tr._scattering_solution(o, e1)
-        idx = point.open_idx
-        ref = tr._boundary_blocks([point], psi[0][idx][None], psi[-1][idx][None])
-        np.testing.assert_array_equal(s.open_modes, point.open_modes)
+        idx, psi = tr._scattering_solution(o, e1)
+        leads, _ = tr._leads(o, [e1])
+        ref = tr._boundary_blocks(
+            leads.bloch[:, idx], leads.velocity[:, idx],
+            psi[0][idx][None], psi[-1][idx][None],
+        )
+        np.testing.assert_array_equal(s.open_modes, o.basis.modes[idx])
         for name, block in zip(("t", "r", "t_reverse", "r_reverse"), ref):
             np.testing.assert_allclose(
                 getattr(s, name), block[0], rtol=0, atol=1e-12
@@ -567,12 +570,29 @@ def test_fold_exact_at_eigenvalues_of_the_isolated_run():
     eigs = eigs[(eigs > VG + 0.05) & (eigs < VG + 4.4)]
     assert eigs.size >= 3
     for e1 in eigs:
-        folded = tr._solve(o, [tr._prepare(o, e1)], Counter())
+        folded = tr._solve(o, [e1], Counter())
         explicit = tr.rgf_smatrix(o, e1)
         for name, block in zip(("t", "r", "t_reverse", "r_reverse"), folded):
             np.testing.assert_allclose(
                 block[0], getattr(explicit, name), rtol=0, atol=1e-10
             )
+
+
+def forged_self_energy(o, bad_e1, fault):
+    """lead_self_energy with a fault at the energy bad_e1 of a stack: it
+    raises, or it makes the first slice block exactly singular there (the
+    first on-site block of ``o`` must be diagonal, as with lead padding)."""
+    real_self_energy = tr.lead_self_energy
+
+    def faulty_self_energy(leads, dz):
+        sigma = real_self_energy(leads, dz)
+        bad = np.asarray(leads.e1) == bad_e1
+        if np.any(bad) and fault == "self_energy":
+            raise NumericalError("forged self-energy failure")
+        sigma[bad] = bad_e1 - np.diag(o.onsite[0])
+        return sigma
+
+    return faulty_self_energy
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -584,15 +604,7 @@ def test_sweep_point_failure_is_isolated(monkeypatch, fault, workers):
     energies = np.linspace(0.4, 3.6, 9) + VG
     bad = 5
     clean = tr.energy_sweep(o, energies)
-    real_self_energy = tr.lead_self_energy
-
-    def faulty_self_energy(leads, dz):
-        if leads.e1 != energies[bad]:
-            return real_self_energy(leads, dz)
-        if fault == "self_energy":
-            raise NumericalError("forged self-energy failure")
-        return leads.e1 - np.diag(o.onsite[0])
-
+    faulty_self_energy = forged_self_energy(o, energies[bad], fault)
     monkeypatch.setattr(tr, "lead_self_energy", faulty_self_energy)
     curve = tr.energy_sweep(o, energies, workers=workers)
     assert [f["index"] for f in curve.failures] == [bad]
@@ -607,21 +619,17 @@ def test_sweep_point_failure_is_isolated(monkeypatch, fault, workers):
         )
 
 
-def test_singular_block_falls_back_alone(monkeypatch):
+@pytest.mark.parametrize("fault", ["singular_block", "self_energy"])
+def test_singular_block_falls_back_alone(monkeypatch, fault):
     # one stack of 40 energies with three open channels: blocks of 32 and 8;
-    # a forged singular point re-solves its own block only
+    # a forged fault at one point (a singular block, or a raised self-energy)
+    # re-solves its own block only
     o = helical_operator(pitches=4.0, l_max=4, lead_pad_pitches=0.5)
     energies = np.linspace(1.1, 3.9, 40) + VG
     bad = 5
     clean = tr.energy_sweep(o, energies)
     assert set(clean.n_open) == {3}
-    real_self_energy = tr.lead_self_energy
-
-    def faulty_self_energy(leads, dz):
-        if leads.e1 != energies[bad]:
-            return real_self_energy(leads, dz)
-        return leads.e1 - np.diag(o.onsite[0])
-
+    faulty_self_energy = forged_self_energy(o, energies[bad], fault)
     monkeypatch.setattr(tr, "lead_self_energy", faulty_self_energy)
     curve = tr.energy_sweep(o, energies)
     assert [f["index"] for f in curve.failures] == [bad]
