@@ -14,13 +14,16 @@ the incident-first index order sigma[l_incident -> l_outgoing].
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import config as cfgmod
 from . import geometry, operator, selftest, transport
 from .errors import ClosedChannelError, ConfigError, NumericalError
@@ -65,7 +68,12 @@ class _Stopwatch:
         self.seconds[f"{stage}_s"] = self._last - last
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict, cfg: cfgmod.RunConfig) -> None:
+    """Write a run's JSON with its provenance: the versions of qsurf, numpy and
+    scipy, and the SHA-256 of the config the run used."""
+    versions = {name: version(name) for name in ("numpy", "scipy")}
+    digest = hashlib.sha256(cfgmod.serialize(cfg).encode()).hexdigest()
+    payload.update(versions={"qsurf": __version__, **versions}, config_sha256=digest)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
@@ -136,7 +144,7 @@ def cmd_spectrum(args) -> int:
         "bc": list(grid.bc),
         "count": int(num.spectrum_count),
     }
-    _write_json(_outdir(args) / f"{cfg.output.prefix}_spectrum.json", meta)
+    _write_json(_outdir(args) / f"{cfg.output.prefix}_spectrum.json", meta, cfg)
     print(f"wrote {out}")
     return 0
 
@@ -202,7 +210,7 @@ def cmd_sweep(args) -> int:
         "timing": clock.seconds,
         "failures": curve.failures,
     }
-    _write_json(outdir / f"{cfg.output.prefix}_sweep_summary.json", summary)
+    _write_json(outdir / f"{cfg.output.prefix}_sweep_summary.json", summary, cfg)
     print(f"wrote {csv_path}")
     return 0
 
@@ -242,7 +250,7 @@ def cmd_density(args) -> int:
         "(uniform density 1/(2 pi))",
         "timing": clock.seconds,
     }
-    _write_json(outdir / f"{cfg.output.prefix}_density.json", meta)
+    _write_json(outdir / f"{cfg.output.prefix}_density.json", meta, cfg)
     print(f"wrote {csv_path}")
     return 0
 

@@ -74,14 +74,16 @@ Sweeps keep the blocks t, r, t', r' stacked over energy, shape (n_e, n_open,
 n_open), and compute every column with array operations on the stack;
 :class:`SMatrix` is the single-energy view, and its methods,
 :func:`conductance` and :func:`polarization` run the same kernels on one block.
+A sweep cuts its whole grid into energy blocks once and solves them on a
+thread pool; the caller writes every block's columns, so the output and the
+solver counts do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -198,7 +200,7 @@ def _leads(op: CoupledChannelOperator, e1):
     """Lead modes at e1, a scalar or a 1-D array of energies, and the flag of
     each energy within THRESHOLD_ATOL of a channel threshold.  The caller
     warns about flagged energies (:func:`_warn_thresholds`), so that a sweep
-    warns once, in the calling process, for any worker count."""
+    warns once for its whole grid."""
     if op.style != "open":
         raise ValueError("transport needs an operator assembled with closed=False")
     leads = op.lead_mode_set(e1)
@@ -556,21 +558,51 @@ class ConductanceCurve:
     solver: dict
 
 
-def _sweep_chunk(
-    op: CoupledChannelOperator, energies, start: int, pair: int, record_l: int
-):
-    """Observables on the contiguous chunk of the grid that begins at index
-    ``start``.
+def energy_sweep(
+    op: CoupledChannelOperator, energies, pair=1, record_l=2, workers=1
+) -> ConductanceCurve:
+    """Run the scattering problem over a grid of absolute E1 values.
 
-    Energies with the same open channels form a stack, cut into blocks of at
-    most _ENERGY_BLOCK energies; every column is filled for a whole block from
-    its stacked S-matrix blocks.  A failed block (singular, or a self-energy
-    fault) is re-solved one energy at a time, so only the bad point fails.
-    Returns (columns, failures with grid indices, open-channel sets, stats).
+    ``record_l`` bounds |l| of the recorded mode-resolved pairs; ``pair``
+    selects the polarization pair.  Energies with the same open channels form
+    a stack, cut into blocks of at most _ENERGY_BLOCK energies, which
+    ``workers`` threads solve (numpy releases the GIL in the batched linear
+    algebra).  Per-point failures go to ``failures`` and the sweep continues;
+    flagged threshold energies are named in one ThresholdProximityWarning.
+    The blocks do not depend on ``workers``, so neither do the output and the
+    ``solver`` counts.
     """
-    n_e = len(energies)
+    energies = np.asarray(energies, dtype=float)
+    n_e = energies.size
     n_rec = 2 * record_l + 1
     leads, flags = _leads(op, energies)
+    _warn_thresholds(energies, flags)
+    stacks: dict = {}  # open-channel indices -> grid indices, in grid order
+    for i, mask in enumerate(leads.open_mask):
+        stacks.setdefault(tuple(np.flatnonzero(mask)), []).append(i)
+    blocks = [
+        idx[k : k + _ENERGY_BLOCK]
+        for idx in stacks.values()
+        for k in range(0, len(idx), _ENERGY_BLOCK)
+    ]
+
+    def solve(idx):
+        # one task: a block that raises NumericalError (singular, or a
+        # self-energy fault) is re-solved one energy at a time, so only the
+        # bad point fails; each task counts its work in its own Counter
+        counts, solved, errors, queue = Counter(), [], {}, [idx]
+        while queue:
+            idx = queue.pop()
+            try:
+                solved.append((idx, _solve(op, energies[idx], counts)))
+            except NumericalError as exc:
+                if len(idx) > 1:
+                    counts["fallback_points"] += len(idx)
+                    queue.extend([i] for i in idx)
+                else:
+                    errors[idx[0]] = str(exc)
+        return solved, errors, counts
+
     columns = {
         "sigma_total": np.full(n_e, np.nan),
         "sigma_modes": np.full((n_e, n_rec, n_rec), np.nan),
@@ -581,89 +613,44 @@ def _sweep_chunk(
         "flux_error": np.full(n_e, np.nan),
         "threshold_flags": flags,
     }
-    failed: dict = {}  # chunk index -> error message
+    failed: dict = {}  # grid index -> error message
     stats: Counter = Counter()
-    stacks: dict = {}  # open-channel indices -> chunk indices, in grid order
-    for i, mask in enumerate(leads.open_mask):
-        stacks.setdefault(tuple(np.flatnonzero(mask)), []).append(i)
-
-    queue = [
-        idx[k : k + _ENERGY_BLOCK]
-        for idx in stacks.values()
-        for k in range(0, len(idx), _ENERGY_BLOCK)
-    ]
-    while queue:
-        idx = queue.pop()
-        try:
-            t, r, t_rev, r_rev = _solve(op, energies[idx], stats)
-        except NumericalError as exc:
-            if len(idx) > 1:
-                stats["fallback_points"] += len(idx)
-                queue.extend([i] for i in idx)
-            else:
-                failed[idx[0]] = str(exc)
-            continue
-        modes = leads.modes[leads.open_mask[idx[0]]]
-        keep = np.flatnonzero(np.abs(modes) <= record_l)
-        window = modes[keep] + record_l  # recorded open modes, window positions
-        columns["sigma_modes"][idx] = 0.0
-        columns["sigma_modes"][np.ix_(idx, window, window)] = (
-            np.abs(t[:, keep[:, None], keep].swapaxes(1, 2)) ** 2  # [in, out]
-        )
-        columns["sigma_total"][idx] = _transmission(t)
-        columns["p_lz"][idx] = _polarization(t, modes, pair)
-        columns["n_open"][idx] = modes.size
-        columns["unitarity"][idx] = _unitarity(t, r, t_rev, r_rev)
-        columns["reciprocity"][idx] = _reciprocity(t, t_rev)
-        columns["flux_error"][idx] = _flux_error(t, r, t_rev, r_rev)
-    failures = [
-        {"index": start + i, "e1": float(energies[i]), "error": error}
-        for i, error in sorted(failed.items())
-    ]
-    return columns, failures, set(stacks), stats
-
-
-def energy_sweep(
-    op: CoupledChannelOperator, energies, pair=1, record_l=2, workers=1
-) -> ConductanceCurve:
-    """Run the scattering problem over a grid of absolute E1 values.
-
-    ``record_l`` bounds |l| of the recorded mode-resolved pairs; ``pair``
-    selects the polarization pair.  Per-point failures go to ``failures`` and
-    the sweep continues; flagged threshold energies are named in one
-    ThresholdProximityWarning.  With ``workers`` > 1 the grid is split into
-    that many contiguous chunks, solved in a process pool.  A point's result
-    does not depend on its chunk or block, so the output is bit-identical for
-    any worker count, and so is ``solver["stacks"]`` (distinct open-channel
-    sets on the grid); ``inversions`` and ``fallback_points`` count the work
-    done, which a chunk edge splitting a block can change.
-    """
-    energies = np.asarray(energies, dtype=float)
-    chunks = np.array_split(energies, max(1, min(workers, energies.size)))
-    starts = np.cumsum([0] + [c.size for c in chunks[:-1]]).tolist()
-    sweep = functools.partial(_sweep_chunk, op, pair=pair, record_l=record_l)
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(sweep, chunks, starts))
-    else:
-        parts = [sweep(energies, 0)]
-
-    columns, failures, open_sets, stats = zip(*parts)
-    columns = {k: np.concatenate([c[k] for c in columns]) for k in columns[0]}
-    stats = sum(stats, Counter())
-    _warn_thresholds(energies, columns["threshold_flags"])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # filled only after the pool is done: filling beside a running solve
+        # contends for the GIL and slowed a one-worker sweep by about 4%
+        tasks = list(pool.map(solve, blocks))
+    for solved, errors, counts in tasks:
+        failed.update(errors)
+        stats += counts
+        for idx, (t, r, t_rev, r_rev) in solved:
+            modes = leads.modes[leads.open_mask[idx[0]]]
+            keep = np.flatnonzero(np.abs(modes) <= record_l)
+            window = modes[keep] + record_l  # recorded open modes, window positions
+            columns["sigma_modes"][idx] = 0.0
+            columns["sigma_modes"][np.ix_(idx, window, window)] = (
+                np.abs(t[:, keep[:, None], keep].swapaxes(1, 2)) ** 2  # [in, out]
+            )
+            columns["sigma_total"][idx] = _transmission(t)
+            columns["p_lz"][idx] = _polarization(t, modes, pair)
+            columns["n_open"][idx] = modes.size
+            columns["unitarity"][idx] = _unitarity(t, r, t_rev, r_rev)
+            columns["reciprocity"][idx] = _reciprocity(t, t_rev)
+            columns["flux_error"][idx] = _flux_error(t, r, t_rev, r_rev)
     band_bottom = float(np.min(op.lead_offsets))
     return ConductanceCurve(
         energies=energies,
         energies_relative=energies - band_bottom,
         recorded_modes=np.arange(-record_l, record_l + 1),
-        failures=[f for chunk in failures for f in chunk],
+        failures=[
+            {"index": i, "e1": float(energies[i]), "error": error}
+            for i, error in sorted(failed.items())
+        ],
         solver={
             "path": "rgf-batched",
             "n_slices": int(op.n_slices),
             "n_modes": int(op.n_modes),
             "folded_slices": op.screw.stop - op.screw.start if op.screw else 0,
-            "stacks": len(set().union(*open_sets)),
+            "stacks": len(stacks),
             "inversions": int(stats["inversions"]),
             "fallback_points": int(stats["fallback_points"]),
         },

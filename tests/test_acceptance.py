@@ -132,10 +132,19 @@ def test_criterion_2_homogeneous_staircase():
     )
 
 
-def test_criterion_3_unitarity_battery():
-    t0 = time.perf_counter()
+def _off_threshold_energy(o, rng):
+    """A random E1 up to 4 e0 above the band bottom, 1e-3 off every threshold."""
+    offsets = np.unique(o.lead_offsets)
+    while True:
+        cand = float(offsets.min() + rng.uniform(0.05, 4.0))
+        if np.min(np.abs(cand - offsets)) > 1e-3:
+            return cand
+
+
+def _unitarity_battery():
+    """The criterion-3 draws: 500 random helical windows (each records a
+    screw run) and one energy on each."""
     rng = np.random.default_rng(2024)
-    worst_unit, worst_flux = 0.0, 0.0
     for _ in range(500):
         eps = float(rng.uniform(0.01, 0.2))
         m_d = int(rng.integers(1, 4))
@@ -149,12 +158,13 @@ def test_criterion_3_unitarity_battery():
             length=3.0,
             dz=min(0.04, profile.z_period / 20.0),
         )
-        offsets = np.unique(o.lead_offsets)
-        e1 = None
-        while e1 is None:
-            cand = float(offsets.min() + rng.uniform(0.05, 4.0))
-            if np.min(np.abs(cand - offsets)) > 1e-3:
-                e1 = cand
+        yield o, _off_threshold_energy(o, rng)
+
+
+def test_criterion_3_unitarity_battery():
+    t0 = time.perf_counter()
+    worst_unit, worst_flux = 0.0, 0.0
+    for o, e1 in _unitarity_battery():
         s = tr.rgf_smatrix(o, e1)
         worst_unit = max(worst_unit, s.unitarity_residual())
         worst_flux = max(worst_flux, s.flux_error())
@@ -168,9 +178,34 @@ def test_criterion_3_unitarity_battery():
     )
 
 
-def test_criterion_4_oracle_equivalence():
+def test_criterion_3_unitarity_battery_folded_sweep():
+    # the same windows through energy_sweep, which folds their screw runs, on
+    # two threads: the criterion's energy plus one more per window, so a
+    # sweep often holds two open-channel stacks
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(2025)
+    worst_unit, worst_flux, points = 0.0, 0.0, 0
+    for o, e1 in _unitarity_battery():
+        energies = [e1, _off_threshold_energy(o, rng)]
+        curve = tr.energy_sweep(o, energies, workers=2)
+        assert curve.failures == []
+        worst_unit = max(worst_unit, float(np.max(curve.unitarity)))
+        worst_flux = max(worst_flux, float(np.max(curve.flux_error)))
+        points += len(energies)
+    elapsed = time.perf_counter() - t0
+    passed = worst_unit <= 1e-8 and worst_flux <= 1e-8
+    _report(
+        "3 (folded sweep)",
+        passed,
+        f"{points} points: max ||S+S - I|| = {worst_unit:.2e}, max flux dev = "
+        f"{worst_flux:.2e} (tol 1e-8), {elapsed:.1f}s",
+    )
+
+
+def _oracle_windows():
+    """The criterion-4 draws: 8 random short helical windows (each records a
+    screw run) and one energy on each."""
     rng = np.random.default_rng(77)
-    worst_dense = 0.0
     for _ in range(8):
         eps = float(rng.uniform(0.02, 0.2))
         kappa = float(rng.uniform(0.3, 1.5))
@@ -178,7 +213,12 @@ def test_criterion_4_oracle_equivalence():
         basis = op.ChannelBasis(l_max=2, radius=1.0)
         n_z = int(rng.integers(30, 61))
         o = op.assemble_coupled_channel(profile, WELL, basis, length=2.0, n_z=n_z)
-        e1 = float(rng.uniform(0.3, 3.8))
+        yield o, float(rng.uniform(0.3, 3.8))
+
+
+def test_criterion_4_oracle_equivalence():
+    worst_dense = 0.0
+    for o, e1 in _oracle_windows():
         s = tr.rgf_smatrix(o, e1)
         t_dense = dense_smatrix(o, e1)[0]
         worst_dense = max(
@@ -201,6 +241,27 @@ def test_criterion_4_oracle_equivalence():
         passed,
         f"RGF vs dense inversion: {worst_dense:.2e} (tol 1e-10); square barrier "
         f"vs analytic: {worst_barrier:.2e} (tol 1e-6)",
+    )
+
+
+def test_criterion_4_oracle_equivalence_folded_sweep():
+    # the same windows through energy_sweep, which folds their screw runs, on
+    # two threads: the criterion's energy plus three more per window
+    rng = np.random.default_rng(78)
+    worst_dense = 0.0
+    for o, e1 in _oracle_windows():
+        energies = [e1] + [float(e) for e in rng.uniform(0.3, 3.8, 3)]
+        curve = tr.energy_sweep(o, energies, workers=2)
+        assert curve.failures == []
+        for e, sigma in zip(energies, curve.sigma_total):
+            t_dense = dense_smatrix(o, e)[0]
+            worst_dense = max(worst_dense, abs(sigma - np.sum(np.abs(t_dense) ** 2)))
+    passed = worst_dense <= 1e-10
+    _report(
+        "4 (folded sweep)",
+        passed,
+        f"folded sweep vs dense inversion: {worst_dense:.2e} (tol 1e-10) "
+        f"over 32 points",
     )
 
 
@@ -307,6 +368,31 @@ def test_criterion_7_density_maps(kappa_scan):
     )
 
 
+def _transport_convergence(kappa, sigma_of):
+    """Largest sigma change on the criterion-8 window (8 pitches, 1.5-pitch
+    taper, 25 energies) from l_max 6 to 8 and from dz 0.02 to 0.01, with
+    sigma_of(operator, energies) the solver under test."""
+    prof = cf.helical_profile(0.1, 8.0, kappa, radius=1.0, ditch_count=2)
+    pitch = prof.z_period
+    energies = np.linspace(1.1, 3.5, 25) + VG
+
+    def sweep_sigma(l_max, dz):
+        o = op.assemble_coupled_channel(
+            prof,
+            WELL,
+            op.ChannelBasis(l_max=l_max, radius=1.0),
+            length=8 * pitch,
+            dz=dz,
+            taper=TAPER_PITCHES * pitch,
+        )
+        return sigma_of(o, energies)
+
+    base = sweep_sigma(6, 0.02)
+    d_lmax = float(np.max(np.abs(sweep_sigma(8, 0.02) - base)))
+    d_dz = float(np.max(np.abs(sweep_sigma(6, 0.01) - base)))
+    return d_lmax, d_dz
+
+
 def test_criterion_8_discretization_convergence(kappa_scan):
     kappa = next(k for k, v in kappa_scan.items() if v[0] is not None)
     prof = cf.helical_profile(0.1, 8.0, kappa, radius=1.0, ditch_count=2)
@@ -322,30 +408,31 @@ def test_criterion_8_discretization_convergence(kappa_scan):
     slopes = np.log2(np.abs(e1 - e2) / np.abs(e2 - e3))
     richardson_ok = bool(np.all((slopes > 1.8) & (slopes < 2.2)))
 
-    pitch = prof.z_period
-    e_rel = np.linspace(1.1, 3.5, 25)
-
-    def sweep_sigma(l_max, dz):
-        o = op.assemble_coupled_channel(
-            prof,
-            WELL,
-            basis if l_max == 6 else op.ChannelBasis(l_max=l_max, radius=1.0),
-            length=8 * pitch,
-            dz=dz,
-            taper=TAPER_PITCHES * pitch,
-        )
-        return np.array(
-            [tr.conductance(tr.rgf_smatrix(o, e + VG))[0] for e in e_rel]
-        )
-
-    base = sweep_sigma(6, 0.02)
-    d_lmax = float(np.max(np.abs(sweep_sigma(8, 0.02) - base)))
-    d_dz = float(np.max(np.abs(sweep_sigma(6, 0.01) - base)))
+    d_lmax, d_dz = _transport_convergence(
+        kappa,
+        lambda o, e1: np.array([tr.conductance(tr.rgf_smatrix(o, e))[0] for e in e1]),
+    )
     passed = richardson_ok and d_lmax <= 1e-3 and d_dz <= 5e-3
     _report(
         8,
         passed,
         f"Richardson slopes {np.round(slopes, 2)} (2.0 +- 0.2); "
+        f"l_max + m_d change {d_lmax:.2e} (<= 1e-3); dz halving change "
+        f"{d_dz:.2e} (<= 5e-3)",
+    )
+
+
+def test_criterion_8_discretization_convergence_folded_sweep(kappa_scan):
+    # the same l_max and dz changes through energy_sweep, which folds the
+    # window's screw run, on two threads
+    kappa = next(k for k, v in kappa_scan.items() if v[0] is not None)
+    d_lmax, d_dz = _transport_convergence(
+        kappa, lambda o, e1: tr.energy_sweep(o, e1, workers=2).sigma_total
+    )
+    passed = d_lmax <= 1e-3 and d_dz <= 5e-3
+    _report(
+        "8 (folded sweep)",
+        passed,
         f"l_max + m_d change {d_lmax:.2e} (<= 1e-3); dz halving change "
         f"{d_dz:.2e} (<= 5e-3)",
     )

@@ -1,15 +1,18 @@
 """Config schema, validation, and the command-line surface."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsurf
 from qsurf import cli
 from qsurf import config as cfgmod
 from qsurf import transport
@@ -490,6 +493,43 @@ def test_cmd_summaries_report_stage_timing(tmp_path):
         timing = json.loads((tmp_path / name).read_text())["timing"]
         assert set(timing) == {"resolve_s", "operator_s", "solve_s", "csv_write_s"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timing.values())
+
+
+def test_cmd_summaries_record_provenance(tmp_path):
+    # versions and the SHA-256 of the config each run used, stable on reruns;
+    # density hashes its config after setting the lead_pad default
+    cfg = paper_config(n_points=4, e1_min=0.4, e1_max=2.0)
+    cfg.profile.kind = "homogeneous"
+    cfg.numerics.length = 2.0
+    cfg.numerics.grid_n1, cfg.numerics.grid_n2 = 12, 24
+    path = write_config(tmp_path, cfg)
+    # density's lead_pad default: two pitches, or half the length without one
+    padded = dataclasses.replace(
+        cfg, numerics=dataclasses.replace(cfg.numerics, lead_pad=2.0 / 2.0)
+    )
+    expected = {
+        "run_sweep_summary.json": cfg,
+        "run_density.json": padded,
+        "run_spectrum.json": cfg,
+    }
+    hashes = []
+    for run in ("a", "b"):
+        argv = ["--config", str(path), "--out", str(tmp_path / run)]
+        assert cli.main(["sweep"] + argv) == 0
+        assert cli.main(["density"] + argv + ["--e1", "2.0", "--mode", "0"]) == 0
+        assert cli.main(["spectrum"] + argv) == 0
+        for name, used in expected.items():
+            meta = json.loads((tmp_path / run / name).read_text())
+            assert meta["versions"] == {
+                "qsurf": qsurf.__version__,
+                "numpy": metadata.version("numpy"),
+                "scipy": metadata.version("scipy"),
+            }
+            digest = hashlib.sha256(cfgmod.serialize(used).encode()).hexdigest()
+            assert meta["config_sha256"] == digest
+            hashes.append(digest)
+    assert hashes[:3] == hashes[3:]
+    assert hashes[0] == hashes[2] != hashes[1]
 
 
 def test_cmd_spectrum_reruns_bit_identical(tmp_path):

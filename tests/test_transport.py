@@ -1,5 +1,8 @@
 """Scattering solver: unitarity, oracles, symmetries, densities, sweeps."""
 
+import multiprocessing
+import os
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -436,14 +439,24 @@ def test_sweep_flags_thresholds_and_continues():
     assert np.all(np.isfinite(curve.sigma_total))
 
 
-def test_sweep_parallel_matches_serial_bitwise():
+def test_sweep_parallel_matches_serial_bitwise(monkeypatch):
+    # the blocks are solved on threads: two workers must match one without
+    # forking or starting a process
     o = helical_operator(pitches=4.0, l_max=4)
     energies = np.linspace(0.8, 3.0, 8) + VG
     serial = tr.energy_sweep(o, energies, workers=1)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("the sweep started a process")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    # multiprocessing.Process.start, for every start method
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     parallel = tr.energy_sweep(o, energies, workers=2)
     np.testing.assert_array_equal(serial.sigma_total, parallel.sigma_total)
     np.testing.assert_array_equal(serial.p_lz, parallel.p_lz)
     np.testing.assert_array_equal(serial.sigma_modes, parallel.sigma_modes)
+    assert parallel.solver == serial.solver
 
 
 def per_point_columns(s, pair, record_l):
@@ -522,28 +535,37 @@ def test_batched_smatrix_matches_sparse_solve():
 def test_sweep_results_independent_of_chunking():
     # the reference is one single-point sweep per energy: the fold makes the
     # sweep differ from the explicit rgf_smatrix at the 1e-12 level, but every
-    # point must come out bit for bit the same in any chunk or stack
+    # point must come out bit for bit the same in any block or thread; 8
+    # workers are more threads than blocks and cores, and the short switch
+    # interval makes them interleave as often as the interpreter allows
     o = helical_operator(pitches=4.0, l_max=4)
     energies = np.linspace(-0.2, 4.2, 11) + VG
     points = [tr.energy_sweep(o, [e1]) for e1 in energies]
-    stacks = []
-    for workers in (1, 2, 3):
-        curve = tr.energy_sweep(o, energies, workers=workers)
-        assert curve.failures == []
-        for name in ("sigma_total", "sigma_modes", "p_lz"):
-            per_point = np.concatenate([getattr(p, name) for p in points])
-            np.testing.assert_array_equal(getattr(curve, name), per_point)
-        stacks.append(curve.solver["stacks"])
-    solver = curve.solver
+    solvers = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 8):
+            curve = tr.energy_sweep(o, energies, workers=workers)
+            assert curve.failures == []
+            for name in ("sigma_total", "sigma_modes", "p_lz"):
+                per_point = np.concatenate([getattr(p, name) for p in points])
+                np.testing.assert_array_equal(getattr(curve, name), per_point)
+            solvers.append(curve.solver)
+    finally:
+        sys.setswitchinterval(interval)
+    # the blocks do not depend on the worker count, so neither does the work
+    assert solvers[0] == solvers[1] == solvers[2] == solvers[3]
+    solver = solvers[0]
     assert solver["path"] == "rgf-batched"
     assert solver["fallback_points"] == 0
     # the open-channel sets of the whole grid: 0, 1, 3 and 5 open modes
-    assert stacks == [4, 4, 4]
+    assert solver["stacks"] == 4
 
 
 def test_sweep_threshold_warning_reaches_caller_for_any_worker_count():
-    # pool workers must not swallow the warning: the sweep warns once, in the
-    # calling process, naming every flagged energy
+    # the sweep warns once for any worker count, in the calling thread,
+    # naming every flagged energy
     o = helical_operator(pitches=4.0, l_max=4)
     energies = np.array([0.5, 1.0, 2.0, 3.0, 4.0]) + VG  # 1 and 4: thresholds
     recorded = []
