@@ -18,10 +18,10 @@ import hashlib
 import json
 import sys
 import time
-from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import config as cfgmod
@@ -71,9 +71,11 @@ class _Stopwatch:
 def _write_json(path: Path, payload: dict, cfg: cfgmod.RunConfig) -> None:
     """Write a run's JSON with its provenance: the versions of qsurf, numpy and
     scipy, and the SHA-256 of the config the run used."""
-    versions = {name: version(name) for name in ("numpy", "scipy")}
+    versions = {
+        "qsurf": __version__, "numpy": np.__version__, "scipy": scipy.__version__
+    }
     digest = hashlib.sha256(cfgmod.serialize(cfg).encode()).hexdigest()
-    payload.update(versions={"qsurf": __version__, **versions}, config_sha256=digest)
+    payload.update(versions=versions, config_sha256=digest)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 

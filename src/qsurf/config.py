@@ -247,12 +247,10 @@ def apply_override(cfg: RunConfig, dotted_key: str, raw_value: str) -> None:
 class ResolvedSetup:
     """Validated physics objects and fully determined numerical parameters."""
 
-    config: RunConfig
     chart: geometry.SurfaceChart
     profile: confinement.ConfinementProfile
     well: confinement.TransverseWell
     basis: operator.ChannelBasis
-    radius: float
     length: float
     dz: float
     taper: float
@@ -390,12 +388,10 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
     energies = grid_rel + band_bottom
 
     return ResolvedSetup(
-        config=cfg,
         chart=chart,
         profile=profile,
         well=well,
         basis=basis,
-        radius=radius,
         length=length,
         dz=dz,
         taper=taper,
@@ -410,7 +406,7 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
     )
 
 
-def build_operator(setup: ResolvedSetup, closed: bool = False):
+def build_operator(setup: ResolvedSetup):
     """Assemble the coupled-channel operator described by a resolved setup.
 
     The operator's errors lead with the parameter at fault (``n_theta``,
@@ -428,7 +424,6 @@ def build_operator(setup: ResolvedSetup, closed: bool = False):
             include_vg=setup.include_vg,
             n_theta=setup.n_theta,
             e1_max=setup.e1_max_absolute,
-            closed=closed,
         )
     except (ResolutionError, ValueError) as exc:
         raise ConfigError(f"numerics.{exc}") from exc

@@ -9,23 +9,26 @@ normalization, so S-matrix unitarity holds to machine precision on the
 lattice.
 
 Every solver starts from :func:`_leads`: the lead modes and threshold flags
-of one energy, or of a stack of energies with one array row per energy:
+of one energy, or of a stack of energies with one array row per energy, and
+the one ThresholdProximityWarning that names the flagged energies:
 
-* the S-matrix only needs the wavefunction on the two boundary slices, i.e.
-  the corner blocks G_11, G_N1, G_1N, G_NN of the retarded Green's function.
-  A forward-only recursive Green's function (RGF) sweep carries them slice by
-  slice for a block of up to 32 energies that share their open channels.
-  With D_n the diagonal block of (E - H - Sigma), b = 1/dz^2 the off-diagonal
-  block, g_n the left-connected Green's function of slices 1..n and Q the
-  injection source on the first slice:
+* the S-matrix only needs the corner blocks G_11, G_N1, G_1N, G_NN of the
+  retarded Green's function, restricted to the open channels
+  (:class:`_Corners`).  A forward-only recursive Green's function (RGF)
+  sweep carries them slice by slice for a block of up to 32 energies that
+  share their open channels.  With D_n the diagonal block of (E - H - Sigma),
+  b = 1/dz^2 the off-diagonal block and g_n the left-connected Green's
+  function of slices 1..n:
 
-      g_n    = (D_n - b^2 g_{n-1})^{-1}
-      G_n1 Q = -b g_n G_{n-1,1} Q
-      G_1n   = -b G_{1,n-1} g_n                      (open rows only)
-      G_11 Q = G_11 Q + b^2 G_{1,n-1} g_n G_{n-1,1} Q  (open rows only)
+      g_n  = (D_n - b^2 g_{n-1})^{-1}
+      G_n1 = -b g_n G_{n-1,1}                       (open columns only)
+      G_1n = -b G_{1,n-1} g_n                       (open rows only)
+      G_11 = G_11 + b^2 G_{1,n-1} g_n G_{n-1,1}      (open rows and columns)
 
-  and g_N = G_NN.  Memory does not grow with the slice count, and every
-  energy's result is independent of the block it was solved in;
+  and G_nn = g_n.  Memory does not grow with the slice count, and every
+  energy's result is independent of the block it was solved in.  The four
+  corners are the one state of the recursion, from the first slice to the
+  S-matrix blocks (:func:`_boundary_blocks`);
 * the helical window is invariant under a screw motion.  In the gauge
   psi_j = W_j phi_j, W_j = diag(exp(-i l q z_j)) with q = omega*kappa/m_d,
   every on-site block at full taper weight becomes one matrix A and the
@@ -45,9 +48,10 @@ of one energy, or of a stack of energies with one array row per energy:
 
   A run of N slices takes floor(log2 N) squarings and popcount(N) - 1 joins
   of the one-slice cell (E - A + 2 i gamma)^{-1}.  Its corners are rotated
-  back with W, joined to the left-connected slices (gamma_A = 0, T = b),
-  undressed at the right end, and the slice recursion carries on after the
-  run.  The cost per energy no longer grows with the length of the run;
+  back with W, joined to the left-connected corners (gamma_A = 0, T = b) and
+  undressed at the right end, which gives the corners after the run; the
+  slice recursion carries on from there.  The cost per energy no longer
+  grows with the length of the run;
 * :func:`rgf_smatrix` runs the explicit recursion over every slice, with no
   fold: it is the reference the folded sweep is tested against;
 * density maps need psi on every slice: they solve (E - H - Sigma) psi = Q
@@ -63,11 +67,13 @@ Derivation of the injection and extraction formulas, in the conventions of
   Sigma_l = t e^{i k_l dz};
 * a unit-amplitude wave incident from the left in channel l enters the
   device equations as a source Q_1 = i (v_l / dz) e^{i k_l dz} chi_l on the
-  first slice, where v_l = (2/dz) sin(k_l dz);
+  first slice, where v_l = (2/dz) sin(k_l dz) (from the right: the same
+  source on the last slice);
 * with psi = G Q the outgoing wavefunction amplitudes referenced at the
   first lead site are e^{i k_l' dz} psi_1 (reflection side, after removing
   the incident contribution -e^{2 i k_l dz} delta) and e^{i k_l' dz} psi_N
-  (transmission side);
+  (transmission side), so t, r, t', r' follow from G_N1, G_11, G_1N and
+  G_NN;
 * flux normalization multiplies amplitudes by sqrt(v_out / v_in).
 
 Sweeps keep the blocks t, r, t', r' stacked over energy, shape (n_e, n_open,
@@ -196,24 +202,27 @@ class SMatrix:
         return float(_reciprocity(self.t, self.t_reverse))
 
 
+def _near_threshold(e1, thresholds):
+    """Whether each energy of e1 lies within THRESHOLD_ATOL of a threshold."""
+    gaps = np.abs(np.asarray(e1)[..., None] - thresholds)
+    return np.min(gaps, axis=-1) < THRESHOLD_ATOL
+
+
 def _leads(op: CoupledChannelOperator, e1):
     """Lead modes at e1, a scalar or a 1-D array of energies, and the flag of
-    each energy within THRESHOLD_ATOL of a channel threshold.  The caller
-    warns about flagged energies (:func:`_warn_thresholds`), so that a sweep
-    warns once for its whole grid."""
+    each energy within THRESHOLD_ATOL of a channel threshold.  The flagged
+    energies are named in one ThresholdProximityWarning, attributed to the
+    caller of the public function that called this one."""
     if op.style != "open":
         raise ValueError("transport needs an operator assembled with closed=False")
     leads = op.lead_mode_set(e1)
-    gaps = np.abs(np.asarray(leads.e1)[..., None] - leads.offsets)
-    return leads, np.min(gaps, axis=-1) < THRESHOLD_ATOL
-
-
-def _warn_thresholds(energies, flags) -> None:
-    """One ThresholdProximityWarning naming the flagged energies, if any."""
+    flags = _near_threshold(leads.e1, leads.offsets)
     if np.any(flags):
-        listed = ", ".join(repr(float(e)) for e, f in zip(energies, flags) if f)
+        flagged = np.atleast_1d(leads.e1)[np.atleast_1d(flags)]
+        listed = ", ".join(repr(float(e)) for e in flagged)
         message = f"E1 = {listed} within {THRESHOLD_ATOL} of a channel threshold"
         warnings.warn(message, ThresholdProximityWarning, stacklevel=3)
+    return leads, flags
 
 
 def _injection_amplitudes(bloch, velocity, dz: float) -> np.ndarray:
@@ -221,24 +230,23 @@ def _injection_amplitudes(bloch, velocity, dz: float) -> np.ndarray:
     return 1j * (velocity / dz) * bloch
 
 
-def _scattering_solution(op: CoupledChannelOperator, e1: float):
+def _scattering_solution(op: CoupledChannelOperator, leads: LeadModeSet):
     """Scattering state on every slice by one sparse direct solve, for
-    unit-amplitude injection in every open channel from both sides.
+    unit-amplitude injection in every open channel of ``leads`` (one energy)
+    from both sides.
 
     Returns (open_idx, psi): the indices of the open modes, and psi of shape
     (n_slices, n_modes, 2*n_open) whose columns 0..n_open-1 are left
     incidence in the order of open modes, the rest right incidence.
     """
-    leads, flag = _leads(op, e1)
     sigma = lead_self_energy(leads, op.dz)
-    _warn_thresholds([e1], [flag])
     open_idx = np.flatnonzero(leads.open_mask)
     n_sl, n = op.n_slices, op.n_modes
     n_open = open_idx.size
     if n_open == 0:
         return open_idx, np.zeros((n_sl, n, 0), dtype=complex)
 
-    diag = np.full(n_sl * n, e1, dtype=complex)
+    diag = np.full(n_sl * n, leads.e1, dtype=complex)
     diag[:n] -= sigma
     diag[-n:] -= sigma
     rhs = np.zeros((n_sl * n, 2 * n_open), dtype=complex)
@@ -254,8 +262,9 @@ def _scattering_solution(op: CoupledChannelOperator, e1: float):
 
 class _Corners(NamedTuple):
     """Corner blocks G_11, G_1N, G_N1, G_NN of a segment's Green's function,
-    each stacked over energies; G_11, G_1N and G_N1 may be restricted to the
-    open channels on the first slice."""
+    each stacked over energies.  In the slice recursion G_11, G_1N and G_N1
+    are restricted to the open channels on the first slice, and all four are
+    at its end."""
 
     g11: np.ndarray
     g1n: np.ndarray
@@ -343,91 +352,77 @@ def _attach_screw_run(
     )
 
 
-def _corner_recursion(op, e1, sigma, open_idx, amps, stats: Counter):
-    """Boundary-slice scattering states for energies e1 (n_e,) that share the
-    open channels open_idx, given sigma (n_e, n_modes) and amps (n_e, n_open).
+def _corner_recursion(op, e1, sigma, open_idx, stats: Counter) -> _Corners:
+    """Corners of the device Green's function for energies e1 (n_e,) that
+    share the open channels open_idx, given sigma (n_e, n_modes), each
+    restricted to the open channels.
 
     Runs the forward-only corner recursion of the module docstring with one
     batched inversion per slice, and folds the screw run of ``op`` (if any)
-    in one step.  Returns (first, last), each of shape (n_e, n_open, 2*n_open):
-    psi on the first and last slice restricted to the open channels, columns
-    ordered as in :func:`_scattering_solution`.
+    in one step.  Up to slice j the state holds G_11 (open rows and columns),
+    G_1j (open rows), G_j1 (open columns) and G_jj = g_j.
     """
     n_sl, n = op.n_slices, op.n_modes
     run = op.screw
     b = -op.hop
     idx = np.arange(n)
     e_eye = e1[:, None, None] * np.eye(n)
-    sigma_eye = np.zeros((e1.size, n, n), dtype=complex)
-    sigma_eye[:, idx, idx] = sigma
     for j in range(n_sl):
         if run is not None and run.start <= j < run.stop:
             if j == run.start:
-                left = _Corners(g_11, bg_1j / -b, g_j1, g)
-                g_11, g_1j, g_j1, g = _attach_screw_run(op, left, e_eye, stats)
-                bg_1j = -b * g_1j
-                h = -b * g
+                c = _attach_screw_run(op, c, e_eye, stats)
             continue
         d = e_eye - op.onsite[j]
         if j == 0:
-            d -= sigma_eye
+            d[:, idx, idx] -= sigma
         else:
-            d += b * h  # -b^2 g_{j-1}
+            d -= b**2 * c.gnn
         if j == n_sl - 1:
-            d -= sigma_eye
+            d[:, idx, idx] -= sigma
         g = _inv(d, f"slice {j}", stats)
-        h = -b * g
         if j == 0:
-            g_j1 = g[:, :, open_idx]  # G_j1[:, open]
-            bg_1j = h[:, open_idx, :]  # -b G_1j[open, :]
-            g_11 = g[:, open_idx][:, :, open_idx]  # G_11[open, open]
+            g_open = g[:, open_idx]
+            c = _Corners(g_open[:, :, open_idx], g_open, g[:, :, open_idx], g)
         else:
-            g_j1 = h @ g_j1
-            g_11 += bg_1j @ g_j1
-            bg_1j = bg_1j @ h
-    amps = np.concatenate([amps, amps], axis=1)[:, None, :]
-    g_nn = g[:, open_idx][:, :, open_idx]
-    first = np.concatenate([g_11, bg_1j[:, :, open_idx] / -b], axis=2)
-    last = np.concatenate([g_j1[:, open_idx, :], g_nn], axis=2)
-    return first * amps, last * amps
+            h = -b * g
+            gn1 = h @ c.gn1
+            c = _Corners(c.g11 - b * (c.g1n @ gn1), c.g1n @ h, gn1, g)
+    g_nn = c.gnn[:, open_idx][:, :, open_idx]
+    return _Corners(c.g11, c.g1n[:, :, open_idx], c.gn1[:, open_idx], g_nn)
 
 
-def _boundary_blocks(bloch, velocity, first: np.ndarray, last: np.ndarray):
+def _boundary_blocks(bloch, velocity, corners: _Corners, dz: float):
     """Flux-normalized blocks (t, r, t_reverse, r_reverse), each (n_e, n_open,
-    n_open), from the open channels' bloch and velocity (n_e, n_open) and psi
-    on the first and last slice (open rows, columns as in _scattering_solution)."""
-    n_open = bloch.shape[-1]
+    n_open), from the open channels' bloch and velocity (n_e, n_open) and the
+    open-channel corners G_N1, G_11, G_1N, G_NN of the device."""
+    amps = _injection_amplitudes(bloch, velocity, dz)[:, None, :]
+    t, r, t_reverse, r_reverse = (
+        bloch[:, :, None] * (g * amps)
+        for g in (corners.gn1, corners.g11, corners.g1n, corners.gnn)
+    )
+    diag = np.arange(bloch.shape[-1])
+    r[:, diag, diag] -= bloch**2  # remove the incident wave from r
+    r_reverse[:, diag, diag] -= bloch**2  # and from r_reverse
     root_v = np.sqrt(velocity)
     flux = root_v[:, :, None] / root_v[:, None, :]
-    first = bloch[:, :, None] * first
-    last = bloch[:, :, None] * last
-    diag = np.arange(n_open)
-    first[:, diag, diag] -= bloch**2  # remove the incident wave from r
-    last[:, diag, n_open + diag] -= bloch**2  # and from r_reverse
-    return (
-        flux * last[:, :, :n_open],
-        flux * first[:, :, :n_open],
-        flux * first[:, :, n_open:],
-        flux * last[:, :, n_open:],
-    )
+    return flux * t, flux * r, flux * t_reverse, flux * r_reverse
 
 
 def _solve(op: CoupledChannelOperator, energies, stats: Counter):
     """Flux-normalized blocks (t, r, t_reverse, r_reverse), each (n_e, n_open,
     n_open), of energies that share one set of open channels.  Raises
     NumericalError for the whole block if it is singular or a self-energy fails."""
-    leads, _ = _leads(op, energies)
+    leads = op.lead_mode_set(energies)
     sigma = lead_self_energy(leads, op.dz)
     open_idx = np.flatnonzero(leads.open_mask[0])
     # contiguous, so that block sums add in the same order at any stack size
     bloch = np.ascontiguousarray(leads.bloch[:, open_idx])
     velocity = np.ascontiguousarray(leads.velocity[:, open_idx])
     if open_idx.size == 0:
-        first = last = np.zeros((bloch.shape[0], 0, 0), dtype=complex)
+        corners = _Corners(*[np.zeros((bloch.shape[0], 0, 0), dtype=complex)] * 4)
     else:
-        amps = _injection_amplitudes(bloch, velocity, op.dz)
-        first, last = _corner_recursion(op, leads.e1, sigma, open_idx, amps, stats)
-    return _boundary_blocks(bloch, velocity, first, last)
+        corners = _corner_recursion(op, leads.e1, sigma, open_idx, stats)
+    return _boundary_blocks(bloch, velocity, corners, op.dz)
 
 
 def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
@@ -435,7 +430,6 @@ def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
     sweep over every slice, with no screw-run fold: the reference for the
     folded sweep."""
     leads, flag = _leads(op, e1)
-    _warn_thresholds([e1], [flag])
     blocks = [b[0] for b in _solve(replace(op, screw=None), [e1], Counter())]
     return SMatrix(float(e1), leads.open_modes, *blocks, bool(flag))
 
@@ -508,7 +502,7 @@ def scattering_density(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    open_idx, psi = _scattering_solution(op, e1)
+    open_idx, psi = _scattering_solution(op, _leads(op, e1)[0])
     hits = np.flatnonzero(op.basis.modes[open_idx] == l_incident)
     if hits.size == 0:
         offset = op.basis.threshold(l_incident, op.include_vg)
@@ -576,7 +570,6 @@ def energy_sweep(
     n_e = energies.size
     n_rec = 2 * record_l + 1
     leads, flags = _leads(op, energies)
-    _warn_thresholds(energies, flags)
     stacks: dict = {}  # open-channel indices -> grid indices, in grid order
     for i, mask in enumerate(leads.open_mask):
         stacks.setdefault(tuple(np.flatnonzero(mask)), []).append(i)
@@ -703,17 +696,14 @@ def sweep_energies(
     grid = np.linspace(e_min, e_max, n_points)
     step = (e_max - e_min) / max(n_points - 1, 1)
 
-    def near_threshold(e):
-        return np.min(np.abs(e - thresholds)) < THRESHOLD_ATOL
-
     for i, e in enumerate(grid):
-        if not near_threshold(e):
+        if not _near_threshold(e, thresholds):
             continue
         lo = grid[i - 1] if i > 0 else e_min
         hi = grid[i + 1] if i + 1 < n_points else e_max
         up = e + 0.5 * step
         nudged = up if up <= e_max else e - 0.5 * step
-        if near_threshold(nudged) or not lo < nudged < hi:
+        if _near_threshold(nudged, thresholds) or not lo < nudged < hi:
             inside = thresholds[(thresholds > lo) & (thresholds < hi)]
             edges = np.concatenate([[lo], np.sort(inside), [hi]])
             k = int(np.argmax(np.diff(edges)))

@@ -5,6 +5,7 @@ pass/fail report per criterion.
 """
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -334,6 +335,28 @@ def test_criterion_6_polarization_symmetry(kappa_scan):
         passed,
         f"max |P_right + P_left| = {worst:.2e} (tol 1e-8) over 40 energies; "
         f"P(eps=0) = {p_homog}",
+    )
+
+
+def test_criterion_6_polarization_symmetry_folded(kappa_scan):
+    # the criterion's 40 energies share one open set {-1, 0, +1}; the sweep
+    # solver takes them as one stack and folds the window's screw run
+    kappa = next(k for k, v in kappa_scan.items() if v[0] is not None)
+    o = helical_op(kappa)
+    assert o.screw is not None
+    e_rel = np.linspace(1.05, 3.9, 40)
+    t, _, t_reverse, _ = tr._solve(o, e_rel + VG, Counter())
+    modes = np.array([-1, 0, 1])
+    assert t.shape == (40, 3, 3)
+    p_right = tr._polarization(t, modes, 1)
+    p_left = tr._polarization(t_reverse, modes, 1)
+    worst = float(np.max(np.abs(p_right + p_left)))
+    folded = o.screw.stop - o.screw.start
+    _report(
+        "6 (folded)",
+        worst <= 1e-8,
+        f"max |P_right + P_left| = {worst:.2e} (tol 1e-8) over 40 energies, "
+        f"{folded} of {o.n_slices} slices folded",
     )
 
 

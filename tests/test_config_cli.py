@@ -280,6 +280,15 @@ def test_readme_schema_names_every_field():
             assert f"`{section}.{key}`" in schema, f"{section}.{key}"
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    usage = readme.split("## Library use", 1)[1]
+    block = usage.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    total, p_lz = (float(v) for v in capsys.readouterr().out.split())
+    assert total > 0.0 and abs(p_lz) <= 1.0
+
+
 def test_chart_mode_param_rejected(tmp_path, capsys):
     # the finite-difference path is reached through as_fd(), not a chart param
     cfg = paper_config()

@@ -253,12 +253,20 @@ def test_reciprocity_catches_a_phase_flip_unitarity_misses():
 
 
 def test_threshold_proximity_flagged():
+    # each entry point warns once, attributed to the line that called it
     o = homogeneous_operator(include_vg=False)
-    with pytest.warns(ThresholdProximityWarning):
-        s = tr.rgf_smatrix(o, 1.0 + 1e-12)
+    e1 = 1.0 + 1e-12
+    with pytest.warns(ThresholdProximityWarning) as smatrix:
+        s = tr.rgf_smatrix(o, e1)
     assert s.threshold_flag
-    with pytest.warns(ThresholdProximityWarning):
-        tr.scattering_density(o, 1.0 + 1e-12, 0)
+    with pytest.warns(ThresholdProximityWarning) as sweep:
+        curve = tr.energy_sweep(o, [e1])
+    assert curve.threshold_flags[0]
+    with pytest.warns(ThresholdProximityWarning) as density:
+        tr.scattering_density(o, e1, 0)
+    for record in (smatrix, sweep, density):
+        assert len(record) == 1
+        assert record[0].filename == __file__
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +525,16 @@ def test_batched_smatrix_matches_sparse_solve():
     n_open = []
     for e1 in e_rel + VG:
         s = tr.rgf_smatrix(o, e1)
-        idx, psi = tr._scattering_solution(o, e1)
-        leads, _ = tr._leads(o, [e1])
+        leads, _ = tr._leads(o, e1)
+        idx, psi = tr._scattering_solution(o, leads)
+        # psi = G Q: dividing out the sources leaves the open-channel corners
+        bloch, velocity = leads.bloch[None, idx], leads.velocity[None, idx]
+        amps = tr._injection_amplitudes(bloch, velocity, o.dz)
+        g = psi[[0, -1]][:, idx] / np.tile(amps, 2)
+        k = idx.size
+        corners = tr._Corners(g[0, :, :k], g[0, :, k:], g[1, :, :k], g[1, :, k:])
         ref = tr._boundary_blocks(
-            leads.bloch[:, idx], leads.velocity[:, idx],
-            psi[0][idx][None], psi[-1][idx][None],
+            bloch, velocity, tr._Corners(*(c[None] for c in corners)), o.dz
         )
         np.testing.assert_array_equal(s.open_modes, o.basis.modes[idx])
         for name, block in zip(("t", "r", "t_reverse", "r_reverse"), ref):
