@@ -230,11 +230,16 @@ def cmd_density(args) -> int:
     clock.lap("resolve")
     op = cfgmod.build_operator(setup)
     clock.lap("operator")
-    e1 = args.e1 + (setup.band_bottom if cfg.sweep.reference == "threshold" else 0.0)
+    shift = setup.band_bottom if cfg.sweep.reference == "threshold" else 0.0
+    e1 = args.e1 + shift
     try:
         dmap = transport.scattering_density(op, e1, args.mode, n_theta=args.n_theta)
     except ClosedChannelError as exc:
-        raise ConfigError(str(exc)) from exc
+        threshold = op.basis.threshold(args.mode, op.include_vg) - shift
+        raise ConfigError(
+            f"--mode {args.mode} is closed at --e1 {args.e1:g}: its threshold is "
+            f"{threshold:g} (sweep.reference = {cfg.sweep.reference})"
+        ) from exc
     clock.lap("solve")
     outdir = _outdir(args)
     csv_path = outdir / f"{cfg.output.prefix}_density.csv"

@@ -356,9 +356,16 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
     if num.dz is not None:
         dz = float(num.dz)
     else:
-        dz = operator.required_dz(
-            e1_max_abs, basis, profile, well, include_vg=num.include_vg
-        )
+        try:
+            dz = operator.required_dz(
+                e1_max_abs, basis, profile, well, include_vg=num.include_vg
+            )
+        except ResolutionError as exc:
+            raise ConfigError(
+                f"sweep.e1_max = {sw.e1_max:g} is at or below the band bottom and "
+                "the profile has no helix pitch, so no slice spacing follows from "
+                "the resolution rules; set numerics.dz"
+            ) from exc
 
     taper = float(num.taper)
     if 2.0 * taper > length:

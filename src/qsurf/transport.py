@@ -25,10 +25,12 @@ the one ThresholdProximityWarning that names the flagged energies:
       G_1n = -b G_{1,n-1} g_n                       (open rows only)
       G_11 = G_11 + b^2 G_{1,n-1} g_n G_{n-1,1}      (open rows and columns)
 
-  and G_nn = g_n.  Memory does not grow with the slice count, and every
-  energy's result is independent of the block it was solved in.  The four
-  corners are the one state of the recursion, from the first slice to the
-  S-matrix blocks (:func:`_boundary_blocks`);
+  and G_nn = g_n.  The recursion starts from the left lead as slice 0: its
+  surface Green's function Sigma/b^2 as g_0, G_11 = 0 and G_10 = G_01 = -1/b
+  on the open channels, so the first slice is an ordinary step.  Memory does
+  not grow with the slice count, and every energy's result is independent of
+  the block it was solved in.  The four corners are the one state of the
+  recursion, from the lead to the S-matrix blocks (:func:`_boundary_blocks`);
 * the helical window is invariant under a screw motion.  In the gauge
   psi_j = W_j phi_j, W_j = diag(exp(-i l q z_j)) with q = omega*kappa/m_d,
   every on-site block at full taper weight becomes one matrix A and the
@@ -46,12 +48,13 @@ the one ThresholdProximityWarning that names the flagged energies:
       G_11 = Y^A_11 - Y^A_1N K_AA Y^A_N1     G_1N = -Y^A_1N K_AB Y^B_1N
       G_NN = Y^B_NN - Y^B_N1 K_BB Y^B_1N     G_N1 = -Y^B_N1 K_BA Y^A_N1
 
-  A run of N slices takes floor(log2 N) squarings and popcount(N) - 1 joins
-  of the one-slice cell (E - A + 2 i gamma)^{-1}.  Its corners are rotated
-  back with W, joined to the left-connected corners (gamma_A = 0, T = b) and
-  undressed at the right end, which gives the corners after the run; the
-  slice recursion carries on from there.  The cost per energy no longer
-  grows with the length of the run;
+  A run of N slices squares the one-slice cell (E - A + 2 i gamma)^{-1}
+  floor(log2 N) times, and the powers that make up N join one by one onto
+  the running corners, which take the run's slices in the screw gauge: the
+  first join couples the lab-frame slice before the run through b W_start
+  with gamma_A = 0, every later one through T.  The last slice is then
+  rotated back with W and undressed, and the slice recursion carries on from
+  there.  The cost per energy no longer grows with the length of the run;
 * :func:`rgf_smatrix` runs the explicit recursion over every slice, with no
   fold: it is the reference the folded sweep is tested against;
 * density maps need psi on every slice: they solve (E - H - Sigma) psi = Q
@@ -308,47 +311,36 @@ def _join(
     )
 
 
-def _screw_segment(op: CoupledChannelOperator, e_eye, stats: Counter) -> _Corners:
-    """Corners of the dressed screw run in the lab frame, built by segment
-    doubling in the screw gauge (see the module docstring)."""
+def _attach_screw_run(
+    op: CoupledChannelOperator, c: _Corners, e_eye, stats: Counter
+) -> _Corners:
+    """Extend the left-connected corners c over the screw run: join the
+    dressed powers of the screw cell onto them in the screw gauge, then rotate
+    the run's last slice back to the lab frame and remove its dressing i gamma
+    (see the module docstring)."""
     run, modes, b = op.screw, op.basis.modes, -op.hop
     gamma = _DRESSING * b
     w_first = run.gauge(modes, op.z_nodes[run.start])
     w_last = run.gauge(modes, op.z_nodes[run.stop - 1])
     cell = w_first.conj()[:, None] * op.onsite[run.start] * w_first
-    t = b * run.gauge(modes, op.dz)
+    t_screw = b * run.gauge(modes, op.dz)
     y = _inv(e_eye - cell + 2j * gamma * np.eye(modes.size), "screw cell", stats)
     power = _Corners(y, y, y, y)
-    segment = None
+    t, gamma_a = b * w_first, 0.0  # lab-frame slice before the run to its first
     n_run = run.stop - run.start
     for bit in range(n_run.bit_length()):
         if bit:
-            power = _join(power, power, gamma, gamma, t, stats)
+            power = _join(power, power, gamma, gamma, t_screw, stats)
         if n_run >> bit & 1:
-            segment = (
-                power if segment is None
-                else _join(segment, power, gamma, gamma, t, stats)
-            )
+            c = _join(c, power, gamma_a, gamma, t, stats)
+            t, gamma_a = t_screw, gamma
+    u = _inv(np.eye(modes.size) - 1j * gamma * c.gnn, "screw run end", stats)
+    g1n, gn1 = c.g1n @ u, u @ c.gn1
     return _Corners(
-        w_first[:, None] * segment.g11 * w_first.conj(),
-        w_first[:, None] * segment.g1n * w_last.conj(),
-        w_last[:, None] * segment.gn1 * w_first.conj(),
-        w_last[:, None] * segment.gnn * w_last.conj(),
-    )
-
-
-def _attach_screw_run(
-    op: CoupledChannelOperator, left: _Corners, e_eye, stats: Counter
-) -> _Corners:
-    """Extend the left-connected corners over the screw run: join the dressed
-    run to them, then remove the dressing i gamma from its last slice."""
-    b = -op.hop
-    gamma = _DRESSING * b
-    t = np.full(op.n_modes, b, dtype=complex)
-    c = _join(left, _screw_segment(op, e_eye, stats), 0.0, gamma, t, stats)
-    u = _inv(np.eye(op.n_modes) - 1j * gamma * c.gnn, "screw run end", stats)
-    return _Corners(
-        c.g11 + 1j * gamma * (c.g1n @ u @ c.gn1), c.g1n @ u, u @ c.gn1, u @ c.gnn
+        c.g11 + 1j * gamma * (g1n @ c.gn1),
+        g1n * w_last.conj(),
+        w_last[:, None] * gn1,
+        w_last[:, None] * (u @ c.gnn) * w_last.conj(),
     )
 
 
@@ -359,34 +351,33 @@ def _corner_recursion(op, e1, sigma, open_idx, stats: Counter) -> _Corners:
 
     Runs the forward-only corner recursion of the module docstring with one
     batched inversion per slice, and folds the screw run of ``op`` (if any)
-    in one step.  Up to slice j the state holds G_11 (open rows and columns),
-    G_1j (open rows), G_j1 (open columns) and G_jj = g_j.
+    onto the corners in one step.  Up to slice j the state holds G_11 (open
+    rows and columns), G_1j (open rows), G_j1 (open columns) and G_jj = g_j.
+    Before slice 0 it holds the left lead: its surface Green's function
+    sigma/b^2 as G_jj, G_11 = 0, and -1/b as G_1j and G_j1 on the open
+    channels, so that slice 0 is an ordinary step.
     """
     n_sl, n = op.n_slices, op.n_modes
     run = op.screw
     b = -op.hop
     idx = np.arange(n)
     e_eye = e1[:, None, None] * np.eye(n)
+    lead = -np.eye(n)[:, open_idx] / b
+    g11 = np.zeros((e1.size, open_idx.size, open_idx.size))
+    c = _Corners(g11, lead.T, lead, sigma[..., None] * np.eye(n) / b**2)
     for j in range(n_sl):
         if run is not None and run.start <= j < run.stop:
             if j == run.start:
                 c = _attach_screw_run(op, c, e_eye, stats)
             continue
         d = e_eye - op.onsite[j]
-        if j == 0:
-            d[:, idx, idx] -= sigma
-        else:
-            d -= b**2 * c.gnn
+        d -= b**2 * c.gnn
         if j == n_sl - 1:
             d[:, idx, idx] -= sigma
         g = _inv(d, f"slice {j}", stats)
-        if j == 0:
-            g_open = g[:, open_idx]
-            c = _Corners(g_open[:, :, open_idx], g_open, g[:, :, open_idx], g)
-        else:
-            h = -b * g
-            gn1 = h @ c.gn1
-            c = _Corners(c.g11 - b * (c.g1n @ gn1), c.g1n @ h, gn1, g)
+        h = -b * g
+        gn1 = h @ c.gn1
+        c = _Corners(c.g11 - b * (c.g1n @ gn1), c.g1n @ h, gn1, g)
     g_nn = c.gnn[:, open_idx][:, :, open_idx]
     return _Corners(c.g11, c.g1n[:, :, open_idx], c.gn1[:, open_idx], g_nn)
 

@@ -577,6 +577,42 @@ def test_cmd_density_closed_channel_names_threshold(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reference, threshold", [("threshold", "49"), ("raw", "48.75")])
+def test_cmd_density_closed_mode_reported_in_sweep_reference(
+    tmp_path, capsys, reference, threshold
+):
+    # l = 7 opens at 49 - V_g = 48.75 absolute, 49 above the band bottom -0.25;
+    # the message repeats --e1 as given and the threshold in the same frame
+    config = tmp_path / "cfg.json"
+    config.write_text("{}", encoding="utf-8")
+    argv = ["density", "--config", str(config), "--out", str(tmp_path / "out")]
+    argv += ["--e1", "2.2", "--mode", "7", "--set", f'sweep.reference="{reference}"']
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"--mode 7 is closed at --e1 2.2: its threshold is {threshold} " in err
+    assert f"(sweep.reference = {reference})" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cmd_sweep_below_band_bottom_names_e1_max(tmp_path, capsys):
+    # a homogeneous profile has no helix pitch, and an energy range below the
+    # band bottom gives no wavelength: no slice spacing follows until
+    # numerics.dz sets one
+    config = tmp_path / "cfg.json"
+    config.write_text("{}", encoding="utf-8")
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+    argv += ["--set", 'profile.kind="homogeneous"', "--set", "sweep.e1_min=-3"]
+    argv += ["--set", "sweep.e1_max=-1", "--set", "sweep.n_points=4"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "sweep.e1_max = -1 is at or below the band bottom" in err
+    assert "set numerics.dz" in err
+    assert not (tmp_path / "out").exists()
+    assert cli.main(argv + ["--set", "numerics.dz=0.05"]) == 0
+    header, data = read_csv(tmp_path / "out" / "run_sweep.csv")
+    assert np.all(data[:, header.index("sigma_total[sigma0]")] == 0.0)
+
+
 def test_cmd_density_factorisation_failure_exits_2(tmp_path, capsys, monkeypatch):
     def failing_splu(matrix):
         raise RuntimeError("Factor is exactly singular")

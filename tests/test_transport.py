@@ -172,6 +172,28 @@ def test_rgf_equals_dense_inversion():
         np.testing.assert_allclose(s.r, r_d, atol=1e-10)
 
 
+@pytest.mark.parametrize("n_slices", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["homogeneous", "helical"])
+def test_smallest_devices_match_dense_inversion(kind, n_slices):
+    # a one-slice device, whose first slice is also its last, and the
+    # shortest screw runs: 2 and 3 slices on the 4- and 5-slice helical windows
+    if kind == "homogeneous":
+        prof, include_vg, energies = cf.homogeneous_profile(), False, (0.5, 2.3, 5.5)
+    else:
+        prof = cf.helical_profile(0.1, 8.0, 0.5, radius=1.0, ditch_count=2)
+        include_vg, energies = True, tuple(e + VG for e in (0.4, 1.3, 2.6, 4.2))
+    basis = op.ChannelBasis(l_max=3, radius=1.0)
+    o = op.assemble_coupled_channel(
+        prof, WELL, basis, length=0.05 * n_slices, n_z=n_slices, include_vg=include_vg
+    )
+    folded = o.screw.stop - o.screw.start if o.screw else 0
+    assert folded == (n_slices - 2 if kind == "helical" and n_slices >= 4 else 0)
+    for e1 in energies:
+        blocks = tr._solve(o, [e1], Counter())
+        for block, dense in zip(blocks, dense_smatrix(o, e1)):
+            np.testing.assert_allclose(block[0], dense, rtol=0, atol=1e-12)
+
+
 def test_unitarity_random_battery():
     rng = np.random.default_rng(22)
     for _ in range(40):
