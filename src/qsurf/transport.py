@@ -493,14 +493,16 @@ def scattering_density(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    open_idx, psi = _scattering_solution(op, _leads(op, e1)[0])
-    hits = np.flatnonzero(op.basis.modes[open_idx] == l_incident)
+    leads = _leads(op, e1)[0]
+    # a closed mode is decided by the leads alone, before the device is solved
+    hits = np.flatnonzero(op.basis.modes[leads.open_mask] == l_incident)
     if hits.size == 0:
         offset = op.basis.threshold(l_incident, op.include_vg)
         raise ClosedChannelError(
             f"mode {l_incident} is closed at E1 = {e1:.6g} "
             f"(threshold {offset:.6g})"
         )
+    open_idx, psi = _scattering_solution(op, leads)
     col = int(hits[0]) if side == "left" else open_idx.size + int(hits[0])
     amps = psi[:, :, col]  # (n_slices, n_modes)
 

@@ -15,7 +15,7 @@ import pytest
 import qsurf
 from qsurf import cli
 from qsurf import config as cfgmod
-from qsurf import transport
+from qsurf import operator, transport
 from qsurf.errors import ConfigError
 
 
@@ -625,6 +625,22 @@ def test_cmd_density_factorisation_failure_exits_2(tmp_path, capsys, monkeypatch
     argv = ["density", "--config", str(path), "--out", str(tmp_path)]
     assert cli.main(argv + ["--e1", "2.0", "--mode", "0"]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cmd_spectrum_factorisation_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def failing_splu(matrix, permc_spec=None):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(operator.spla, "splu", failing_splu)
+    cfg = paper_config()
+    cfg.numerics.grid_n1, cfg.numerics.grid_n2 = 8, 8
+    path = write_config(tmp_path, cfg)
+    argv = ["spectrum", "--config", str(path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: sparse eigensolve failed" in err
+    assert "exactly singular" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run_*"))
 
 
 def test_cmd_spectrum_sphere(tmp_path):

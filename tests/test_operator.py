@@ -14,7 +14,7 @@ from qsurf import config as cfgmod
 from qsurf import confinement as cf
 from qsurf import geometry as geo
 from qsurf import operator as op
-from qsurf.errors import ResolutionError
+from qsurf.errors import NumericalError, ResolutionError
 
 WELL = cf.TransverseWell(e0=70.0)
 
@@ -405,6 +405,23 @@ def test_lowest_eigenvalues_need_a_shift_below_the_spectrum():
     )
     with pytest.raises(TypeError):
         op.lowest_eigenvalues_2d(h, 3)
+    # a shift on an eigenvalue makes h - sigma exactly singular
+    with pytest.raises(NumericalError, match="exactly singular"):
+        op.lowest_eigenvalues_2d(h, 3, sigma=-5.0)
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [geo.cylinder_chart(radius=1.0, z_extent=(0.0, 2.0)), geo.torus_chart()],
+    ids=["cylinder", "torus"],
+)
+def test_2d_curved_helical_spectrum_matches_dense(chart):
+    # independent oracle for the factorised shift-invert: dense eigvalsh of
+    # the same 960-node operator, helical ditches on a curved chart
+    h, grid = op.assemble_2d(chart, profile=helical(), well=WELL, n1=32, n2=30)
+    dense = np.linalg.eigvalsh(h.toarray())[:8]
+    vals = op.lowest_eigenvalues_2d(h, 8, sigma=grid.v_min - 1.0)
+    np.testing.assert_allclose(vals, dense, rtol=1e-10)
 
 
 @pytest.mark.parametrize("k", [3, 4, 9])

@@ -360,6 +360,17 @@ def test_density_closed_channel_raises_with_threshold():
         tr.scattering_density(o, 0.5, l_incident=1)
 
 
+def test_density_closed_channel_raises_before_the_device_solve(monkeypatch):
+    # the leads decide that the mode is closed; the device is never factorised
+    def no_solve(op, leads):
+        raise AssertionError("the device was solved for a closed mode")
+
+    monkeypatch.setattr(tr, "_scattering_solution", no_solve)
+    o = homogeneous_operator(include_vg=False, length=2.0)
+    with pytest.raises(ClosedChannelError, match=r"threshold 1\b"):
+        tr.scattering_density(o, 0.5, l_incident=1)
+
+
 def test_density_factorisation_failure_raises_numerical_error(monkeypatch):
     def failing_splu(matrix):
         raise RuntimeError("Factor is exactly singular")
@@ -635,10 +646,29 @@ def test_fold_exact_at_eigenvalues_of_the_isolated_run():
             )
 
 
+def _forged_entry(o, e1):
+    """The slice-0 entry e1 - onsite of the first channel, as the complex
+    value that _corner_recursion reads back as b^2 (Sigma / b^2)."""
+    return np.complex128(e1 - o.onsite[0][0, 0])
+
+
+def round_trip_energy(o, e1):
+    """e1 nudged up by ulps until the forged entry of forged_self_energy
+    survives the b^2 (Sigma / b^2) round trip exactly."""
+    b2 = o.hop**2
+    while b2 * (_forged_entry(o, e1) / b2) != _forged_entry(o, e1):
+        e1 = np.nextafter(e1, np.inf)
+    return e1
+
+
 def forged_self_energy(o, bad_e1, fault):
     """lead_self_energy with a fault at the energy bad_e1 of a stack: it
-    raises, or it makes the first slice block exactly singular there (the
-    first on-site block of ``o`` must be diagonal, as with lead padding)."""
+    raises, or it makes the first slice block exactly singular there by
+    cancelling the first channel's entry (the first on-site block of ``o``
+    must be diagonal, as with lead padding or a homogeneous profile)."""
+    # a forged value that does not round-trip leaves a nearly singular block
+    # that inverts without error
+    assert fault == "self_energy" or round_trip_energy(o, bad_e1) == bad_e1
     real_self_energy = tr.lead_self_energy
 
     def faulty_self_energy(leads, dz):
@@ -646,7 +676,7 @@ def forged_self_energy(o, bad_e1, fault):
         bad = np.asarray(leads.e1) == bad_e1
         if np.any(bad) and fault == "self_energy":
             raise NumericalError("forged self-energy failure")
-        sigma[bad] = bad_e1 - np.diag(o.onsite[0])
+        sigma[bad, 0] = _forged_entry(o, bad_e1)
         return sigma
 
     return faulty_self_energy
@@ -660,6 +690,7 @@ def test_sweep_point_failure_is_isolated(monkeypatch, fault, workers):
     o = helical_operator(pitches=4.0, l_max=4, lead_pad_pitches=0.5)
     energies = np.linspace(0.4, 3.6, 9) + VG
     bad = 5
+    energies[bad] = round_trip_energy(o, energies[bad])
     clean = tr.energy_sweep(o, energies)
     faulty_self_energy = forged_self_energy(o, energies[bad], fault)
     monkeypatch.setattr(tr, "lead_self_energy", faulty_self_energy)
@@ -684,6 +715,7 @@ def test_singular_block_falls_back_alone(monkeypatch, fault):
     o = helical_operator(pitches=4.0, l_max=4, lead_pad_pitches=0.5)
     energies = np.linspace(1.1, 3.9, 40) + VG
     bad = 5
+    energies[bad] = round_trip_energy(o, energies[bad])
     clean = tr.energy_sweep(o, energies)
     assert set(clean.n_open) == {3}
     faulty_self_energy = forged_self_energy(o, energies[bad], fault)
@@ -699,9 +731,10 @@ def test_singular_block_falls_back_alone(monkeypatch, fault):
 
 
 def test_rgf_smatrix_reports_singular_block(monkeypatch):
-    o = homogeneous_operator()
+    # dz = 2^-5 makes b^2 = 2^20, so every forged entry round-trips exactly
+    o = homogeneous_operator(dz=2**-5, length=2.0)
     monkeypatch.setattr(
-        tr, "lead_self_energy", lambda leads, dz: leads.e1 - np.diag(o.onsite[0])
+        tr, "lead_self_energy", forged_self_energy(o, 2.0, "singular_block")
     )
     with pytest.raises(NumericalError, match="slice 0"):
         tr.rgf_smatrix(o, 2.0)
