@@ -223,6 +223,12 @@ def cmd_density(args) -> int:
         raise ConfigError(f"--n-theta must be at least 1, got {args.n_theta}")
     cfg = _load_config(args)
     setup = cfgmod.resolve(cfg)
+    if args.e1 > cfg.sweep.e1_max:
+        raise ConfigError(
+            f"--e1 {args.e1:g} is above sweep.e1_max = {cfg.sweep.e1_max:g}, the "
+            "energy numerics.dz and numerics.l_max are resolved for "
+            f"(sweep.reference = {cfg.sweep.reference}); raise sweep.e1_max"
+        )
     if cfg.numerics.lead_pad is None:
         # default for density maps: keep two pitches of clean lead in view
         cfg.numerics.lead_pad = 2.0 * (setup.profile.z_period or setup.length / 4.0)

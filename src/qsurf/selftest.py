@@ -4,7 +4,9 @@ Each check compares a library result against an independently derived
 reference: closed-form curvatures, the analytic square-barrier transmission,
 a dense Green's-function inversion, the unitarity/flux identities, and the
 explicit slice recursion as the reference for the sweeps' screw-run fold.  The
-``inject`` hook deliberately corrupts one quantity so the test harness can
+dense inversion and the unitarity identities check both transport paths: the
+explicit recursion of ``rgf_smatrix`` and the folded one of ``energy_sweep``.
+The ``inject`` hook deliberately corrupts one quantity so the test harness can
 verify that the corresponding suite actually fails.
 """
 
@@ -160,10 +162,21 @@ def check_square_barrier(inject: str | None = None) -> CheckResult:
     )
 
 
+def _sweep_point(
+    op: operator.CoupledChannelOperator, e1: float, inject: str | None
+) -> transport.ConductanceCurve:
+    """One energy through ``energy_sweep``, the path that folds the screw run.
+    The ``screw_pitch`` fault folds the run with a pitch 1% off."""
+    if inject == "screw_pitch" and op.screw is not None:
+        op = replace(op, screw=replace(op.screw, q=1.01 * op.screw.q))
+    return transport.energy_sweep(op, [e1])
+
+
 def check_dense_equivalence(inject: str | None = None) -> CheckResult:
-    """Slice recursion against dense inversion on small systems."""
+    """Slice recursion, explicit and folded, against dense inversion on small
+    systems."""
     rng = np.random.default_rng(7)
-    worst = 0.0
+    gaps = {"rgf": [], "sweep": []}
     for _ in range(4):
         eps = float(rng.uniform(0.03, 0.2))
         kappa = float(rng.uniform(0.3, 1.5))
@@ -176,14 +189,16 @@ def check_dense_equivalence(inject: str | None = None) -> CheckResult:
         e1 = float(rng.uniform(0.5, 3.5))
         s = transport.rgf_smatrix(op, e1)
         t_dense = dense_smatrix(op, e1)[0]
-        sigma_rgf = float(np.sum(np.abs(s.t) ** 2))
         sigma_dense = float(np.sum(np.abs(t_dense) ** 2))
-        worst = max(worst, abs(sigma_rgf - sigma_dense))
-    passed = worst <= 1e-10
+        gaps["rgf"].append(float(np.sum(np.abs(s.t) ** 2)) - sigma_dense)
+        gaps["sweep"].append(_sweep_point(op, e1, inject).sigma_total[0] - sigma_dense)
+    # np.max keeps the NaN of a failed sweep point, and NaN fails the check
+    worst = {path: float(np.max(np.abs(g))) for path, g in gaps.items()}
     return CheckResult(
         "dense_equivalence",
-        passed,
-        f"max |sigma_rgf - sigma_dense| = {worst:.3g} (tol 1e-10)",
+        all(w <= 1e-10 for w in worst.values()),
+        f"max |sigma_rgf - sigma_dense| = {worst['rgf']:.3g}, "
+        f"|sigma_sweep - sigma_dense| = {worst['sweep']:.3g} (tol 1e-10)",
     )
 
 
@@ -191,7 +206,7 @@ def check_unitarity(inject: str | None = None, samples: int = 20) -> CheckResult
     """Random-parameter battery of S-matrix unitarity and flux conservation."""
     rng = np.random.default_rng(11)
     well = confinement.TransverseWell(e0=70.0)
-    worst = 0.0
+    residuals = {"rgf": [], "sweep": []}
     for _ in range(samples):
         eps = float(rng.uniform(0.02, 0.2))
         m_d = int(rng.integers(1, 4))
@@ -211,12 +226,15 @@ def check_unitarity(inject: str | None = None, samples: int = 20) -> CheckResult
         s = transport.rgf_smatrix(op, e1)
         if inject == "velocity_norm" and s.n_open:
             s = replace(s, t=s.t * 1.01)
-        worst = max(worst, s.unitarity_residual(), s.flux_error())
-    passed = worst <= 1e-8
+        residuals["rgf"] += [s.unitarity_residual(), s.flux_error()]
+        curve = _sweep_point(op, e1, inject)
+        residuals["sweep"] += [curve.unitarity[0], curve.flux_error[0]]
+    worst = {path: float(np.max(r)) for path, r in residuals.items()}
     return CheckResult(
         "unitarity_battery",
-        passed,
-        f"max unitarity/flux residual = {worst:.3g} over {samples} samples (tol 1e-8)",
+        all(w <= 1e-8 for w in worst.values()),
+        f"max unitarity/flux residual = {worst['rgf']:.3g} rgf, "
+        f"{worst['sweep']:.3g} sweep over {samples} samples (tol 1e-8)",
     )
 
 

@@ -57,10 +57,12 @@ the one ThresholdProximityWarning that names the flagged energies:
   there.  The cost per energy no longer grows with the length of the run;
 * :func:`rgf_smatrix` runs the explicit recursion over every slice, with no
   fold: it is the reference the folded sweep is tested against;
-* density maps need psi on every slice: they solve (E - H - Sigma) psi = Q
-  in one sparse LU factorisation of the whole device matrix, built from
-  :meth:`~qsurf.operator.CoupledChannelOperator.sparse` with Sigma added on
-  the two boundary slices.
+* density maps need psi on every slice, so they run the same recursion from
+  the left lead over every slice, with no fold, for the one incident column
+  (:func:`_scattering_state`).  The forward pass keeps g_n and the
+  left-connected response x_n = g_n (Q_n - b x_{n-1}) on every slice, with
+  the source Q on the first or last slice; back-substitution then gives
+  psi_N = x_N and psi_n = x_n - b g_n psi_{n+1}.
 
 Derivation of the injection and extraction formulas, in the conventions of
 :mod:`qsurf.operator` (hopping t = -1/dz^2, lead on-site 2/dz^2 + offset_l):
@@ -97,8 +99,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import (
     ClosedChannelError,
@@ -231,36 +231,6 @@ def _leads(op: CoupledChannelOperator, e1):
 def _injection_amplitudes(bloch, velocity, dz: float) -> np.ndarray:
     """Source strengths i (v_l/dz) e^{i k_l dz} of the open channels."""
     return 1j * (velocity / dz) * bloch
-
-
-def _scattering_solution(op: CoupledChannelOperator, leads: LeadModeSet):
-    """Scattering state on every slice by one sparse direct solve, for
-    unit-amplitude injection in every open channel of ``leads`` (one energy)
-    from both sides.
-
-    Returns (open_idx, psi): the indices of the open modes, and psi of shape
-    (n_slices, n_modes, 2*n_open) whose columns 0..n_open-1 are left
-    incidence in the order of open modes, the rest right incidence.
-    """
-    sigma = lead_self_energy(leads, op.dz)
-    open_idx = np.flatnonzero(leads.open_mask)
-    n_sl, n = op.n_slices, op.n_modes
-    n_open = open_idx.size
-    if n_open == 0:
-        return open_idx, np.zeros((n_sl, n, 0), dtype=complex)
-
-    diag = np.full(n_sl * n, leads.e1, dtype=complex)
-    diag[:n] -= sigma
-    diag[-n:] -= sigma
-    rhs = np.zeros((n_sl * n, 2 * n_open), dtype=complex)
-    amp = _injection_amplitudes(leads.bloch[open_idx], leads.velocity[open_idx], op.dz)
-    rhs[open_idx, np.arange(n_open)] = amp
-    rhs[(n_sl - 1) * n + open_idx, n_open + np.arange(n_open)] = amp
-    try:
-        lu = splu((sp.diags(diag) - op.sparse()).tocsc())
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse factorisation failed: {exc}") from exc
-    return open_idx, lu.solve(rhs).reshape(n_sl, n, 2 * n_open)
 
 
 class _Corners(NamedTuple):
@@ -478,6 +448,36 @@ class DensityMap:
     window: tuple[float, float]
 
 
+def _scattering_state(
+    op: CoupledChannelOperator, leads: LeadModeSet, mode: int, side: str
+) -> np.ndarray:
+    """psi (n_slices, n_modes) on every slice for unit-amplitude injection in
+    channel index ``mode`` from the lead on ``side`` (one energy), by block
+    elimination from the left lead and back-substitution (see the module
+    docstring).  Runs over every slice, with no screw-run fold."""
+    n_sl, n = op.n_slices, op.n_modes
+    b = -op.hop
+    sigma = lead_self_energy(leads, op.dz)
+    q = np.zeros((n_sl, n), dtype=complex)
+    q[0 if side == "left" else -1, mode] = _injection_amplitudes(
+        leads.bloch[mode], leads.velocity[mode], op.dz
+    )
+    g = np.empty((n_sl, n, n), dtype=complex)
+    x = np.empty((n_sl, n), dtype=complex)
+    g_prev, x_prev = sigma[:, None] * np.eye(n) / b**2, np.zeros(n)
+    e_eye, stats = leads.e1 * np.eye(n), Counter()
+    for j in range(n_sl):
+        d = e_eye - op.onsite[j]
+        d -= b**2 * g_prev
+        if j == n_sl - 1:
+            d -= np.diag(sigma)
+        g_prev = g[j] = _inv(d, f"slice {j}", stats)
+        x_prev = x[j] = g_prev @ (q[j] - b * x_prev)
+    for j in range(n_sl - 2, -1, -1):
+        x[j] -= b * (g[j] @ x[j + 1])
+    return x
+
+
 def scattering_density(
     op: CoupledChannelOperator,
     e1: float,
@@ -487,24 +487,23 @@ def scattering_density(
 ) -> DensityMap:
     """Scattering wavefunction density for one incident open mode.
 
-    The channel column is reconstructed on every slice by the sparse direct
-    solve and synthesized on a uniform theta grid.  ``side`` is the lead the
-    wave is incident from.
+    The channel amplitudes are solved on every slice by the slice recursion
+    and back-substitution, and synthesized on a uniform theta grid.  ``side``
+    is the lead the wave is incident from.  A singular slice block raises
+    NumericalError naming the slice.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     leads = _leads(op, e1)[0]
     # a closed mode is decided by the leads alone, before the device is solved
-    hits = np.flatnonzero(op.basis.modes[leads.open_mask] == l_incident)
+    hits = np.flatnonzero((op.basis.modes == l_incident) & leads.open_mask)
     if hits.size == 0:
         offset = op.basis.threshold(l_incident, op.include_vg)
         raise ClosedChannelError(
             f"mode {l_incident} is closed at E1 = {e1:.6g} "
             f"(threshold {offset:.6g})"
         )
-    open_idx, psi = _scattering_solution(op, leads)
-    col = int(hits[0]) if side == "left" else open_idx.size + int(hits[0])
-    amps = psi[:, :, col]  # (n_slices, n_modes)
+    amps = _scattering_state(op, leads, int(hits[0]), side)  # (n_slices, n_modes)
 
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     phases = np.exp(1j * np.outer(theta, op.basis.modes))  # (n_theta, n_modes)

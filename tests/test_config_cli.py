@@ -17,6 +17,7 @@ from qsurf import cli
 from qsurf import config as cfgmod
 from qsurf import operator, transport
 from qsurf.errors import ConfigError
+from test_transport import forged_self_energy
 
 
 def paper_config(**sweep_overrides):
@@ -542,17 +543,26 @@ def test_cmd_summaries_record_provenance(tmp_path):
 
 
 def test_cmd_spectrum_reruns_bit_identical(tmp_path):
+    # a closed spectrum on the sphere, and a density map on the default
+    # helical window
     cfg = paper_config()
     cfg.chart.kind = "sphere"
     cfg.chart.params = {"radius": 1.0}
     cfg.profile.kind = "homogeneous"
     cfg.numerics.grid_n1, cfg.numerics.grid_n2 = 12, 24
-    path = write_config(tmp_path, cfg)
-    for out in ("a", "b"):
-        argv = ["spectrum", "--config", str(path), "--out", str(tmp_path / out)]
-        assert cli.main(argv) == 0
-    a, b = (tmp_path / out / "run_spectrum.csv" for out in ("a", "b"))
-    assert a.read_bytes() == b.read_bytes()
+    runs = {
+        "spectrum": (write_config(tmp_path, cfg), []),
+        "density": (
+            write_config(tmp_path, paper_config(), "density.json"),
+            ["--e1", "2.2", "--mode", "1", "--n-theta", "16"],
+        ),
+    }
+    for command, (path, extra) in runs.items():
+        for out in ("a", "b"):
+            argv = [command, "--config", str(path), "--out", str(tmp_path / out)]
+            assert cli.main(argv + extra) == 0
+        a, b = (tmp_path / out / f"run_{command}.csv" for out in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_cmd_density_closed_channel_names_threshold(tmp_path, capsys):
@@ -594,6 +604,24 @@ def test_cmd_density_closed_mode_reported_in_sweep_reference(
     assert not (tmp_path / "out").exists()
 
 
+def test_cmd_density_e1_above_e1_max_exits_1(tmp_path, capsys):
+    # numerics.dz and numerics.l_max are resolved for energies up to
+    # sweep.e1_max: a density map above it exits 1, in the sweep.reference
+    # frame, before the closed-mode check; at e1_max it runs
+    config = tmp_path / "cfg.json"
+    config.write_text("{}", encoding="utf-8")
+    argv = ["density", "--config", str(config), "--out", str(tmp_path / "out")]
+    argv += ["--n-theta", "8"]
+    for e1, mode in (("30", "1"), ("60", "7")):
+        assert cli.main(argv + ["--e1", e1, "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert f"--e1 {e1} is above sweep.e1_max = 4.5" in err
+        assert "(sweep.reference = threshold)" in err and "closed" not in err
+        assert not (tmp_path / "out").exists()
+    assert cli.main(argv + ["--e1", "4.5", "--mode", "1"]) == 0
+    assert (tmp_path / "out" / "run_density.csv").exists()
+
+
 def test_cmd_sweep_below_band_bottom_names_e1_max(tmp_path, capsys):
     # a homogeneous profile has no helix pitch, and an energy range below the
     # band bottom gives no wavelength: no slice spacing follows until
@@ -614,17 +642,23 @@ def test_cmd_sweep_below_band_bottom_names_e1_max(tmp_path, capsys):
 
 
 def test_cmd_density_factorisation_failure_exits_2(tmp_path, capsys, monkeypatch):
-    def failing_splu(matrix):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(transport, "splu", failing_splu)
+    # an exactly singular slice-0 block, forged as in the transport tests:
+    # dz = 2^-5 makes the forged entry round-trip exactly
     cfg = paper_config()
     cfg.profile.kind = "homogeneous"
     cfg.numerics.length = 2.0
+    cfg.numerics.dz = 2**-5
     path = write_config(tmp_path, cfg)
+    setup = cfgmod.resolve(cfg)
+    forged = forged_self_energy(
+        cfgmod.build_operator(setup), 2.0 + setup.band_bottom, "singular_block"
+    )
+    monkeypatch.setattr(transport, "lead_self_energy", forged)
     argv = ["density", "--config", str(path), "--out", str(tmp_path)]
     assert cli.main(argv + ["--e1", "2.0", "--mode", "0"]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "slice 0 inversion failed" in err and "Traceback" not in err
 
 
 def test_cmd_spectrum_factorisation_failure_exits_2(tmp_path, capsys, monkeypatch):
@@ -691,9 +725,11 @@ def test_python_m_qsurf_runs_uninstalled(tmp_path):
 
 def test_cmd_selftest_fault_injection():
     # a deliberate V_g sign flip must fail the curvature suite,
-    # a perturbed flux normalization must fail the unitarity suite
+    # a perturbed flux normalization must fail the unitarity suite,
+    # a screw run folded with the wrong pitch must fail the dense oracle
     assert cli.main(["selftest", "--inject", "vg_sign"]) == 2
     assert cli.main(["selftest", "--inject", "velocity_norm"]) == 2
+    assert cli.main(["selftest", "--inject", "screw_pitch"]) == 2
 
 
 def test_missing_config_is_validation_error():

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from qsurf import confinement as cf
 from qsurf import operator as op
@@ -361,24 +363,50 @@ def test_density_closed_channel_raises_with_threshold():
 
 
 def test_density_closed_channel_raises_before_the_device_solve(monkeypatch):
-    # the leads decide that the mode is closed; the device is never factorised
-    def no_solve(op, leads):
+    # the leads decide that the mode is closed; the device is never solved
+    def no_solve(op, leads, mode, side):
         raise AssertionError("the device was solved for a closed mode")
 
-    monkeypatch.setattr(tr, "_scattering_solution", no_solve)
+    monkeypatch.setattr(tr, "_scattering_state", no_solve)
     o = homogeneous_operator(include_vg=False, length=2.0)
     with pytest.raises(ClosedChannelError, match=r"threshold 1\b"):
         tr.scattering_density(o, 0.5, l_incident=1)
 
 
 def test_density_factorisation_failure_raises_numerical_error(monkeypatch):
-    def failing_splu(matrix):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(tr, "splu", failing_splu)
-    o = homogeneous_operator(length=2.0)
-    with pytest.raises(NumericalError, match="exactly singular"):
+    # an exactly singular slice-0 block fails the density solve the way it
+    # fails rgf_smatrix; dz = 2^-5 makes the forged entry round-trip exactly
+    o = homogeneous_operator(dz=2**-5, length=2.0)
+    monkeypatch.setattr(
+        tr, "lead_self_energy", forged_self_energy(o, 2.0, "singular_block")
+    )
+    with pytest.raises(NumericalError, match="slice 0 inversion failed"):
         tr.scattering_density(o, 2.0, l_incident=1)
+
+
+def test_density_matches_direct_solve_on_every_slice(monkeypatch):
+    # the density runs the slice recursion over every slice of a window that
+    # records a screw run, without folding it: psi agrees with one sparse
+    # direct solve of the whole device on every slice, for every open mode
+    # incident from either side
+    def no_fold(*args):
+        raise AssertionError("the density folded the screw run")
+
+    monkeypatch.setattr(tr, "_attach_screw_run", no_fold)
+    o = helical_operator(lead_pad_pitches=4.0)
+    assert o.screw is not None
+    e1 = 1.7 + VG
+    leads, _ = tr._leads(o, e1)
+    idx, psi = sparse_scattering_solution(o, leads)
+    n_theta = 32
+    theta = 2 * np.pi * np.arange(n_theta) / n_theta
+    phases = np.exp(1j * np.outer(o.basis.modes, theta)) / np.sqrt(2 * np.pi)
+    assert idx.size == 3
+    for k, col in enumerate(idx):
+        for side, offset in (("left", 0), ("right", idx.size)):
+            d = tr.scattering_density(o, e1, o.basis.modes[col], n_theta, side)
+            ref = psi[:, :, offset + k] @ phases
+            assert np.max(np.abs(d.psi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_density_mode_contrast_and_ditch_correlation():
@@ -411,6 +439,12 @@ def test_density_row_sums_conserved_in_leads():
     d = tr.scattering_density(o, e1, +1, n_theta=64)
     far = d.z > o.window[1] + 2.5
     rows = d.density[far].sum(axis=1) * (2 * np.pi / 64)
+    assert rows.size > 10
+    assert np.max(np.abs(rows - rows.mean())) < 1e-6
+    # incident from the right, the transmitted lead is the left one
+    d_right = tr.scattering_density(o, e1, +1, n_theta=64, side="right")
+    far = d_right.z < o.window[0] - 2.5
+    rows = d_right.density[far].sum(axis=1) * (2 * np.pi / 64)
     assert rows.size > 10
     assert np.max(np.abs(rows - rows.mean())) < 1e-6
     # homogeneous case: conserved on both sides (no reflected standing wave)
@@ -549,6 +583,29 @@ def test_sweep_columns_match_per_point_mapping(record_l):
     assert curve.unitarity[0] == curve.reciprocity[0] == curve.flux_error[0] == 0.0
 
 
+def sparse_scattering_solution(o, leads):
+    """The scattering state on every slice by one sparse direct solve of the
+    whole device, (E - H - Sigma) psi = Q with Sigma on the two end slices:
+    the reference that is independent of the slice recursion.
+
+    Returns (open_idx, psi): psi has shape (n_slices, n_modes, 2 * n_open),
+    its first n_open columns are unit-amplitude injection from the left in
+    the order of the open modes, the rest injection from the right.
+    """
+    sigma = tr.lead_self_energy(leads, o.dz)
+    idx = np.flatnonzero(leads.open_mask)
+    n_sl, n, k = o.n_slices, o.n_modes, idx.size
+    diag = np.full(n_sl * n, leads.e1, dtype=complex)
+    diag[:n] -= sigma
+    diag[-n:] -= sigma
+    rhs = np.zeros((n_sl * n, 2 * k), dtype=complex)
+    amp = tr._injection_amplitudes(leads.bloch[idx], leads.velocity[idx], o.dz)
+    rhs[idx, np.arange(k)] = amp
+    rhs[(n_sl - 1) * n + idx, k + np.arange(k)] = amp
+    lu = splu((sparse.diags(diag) - o.sparse()).tocsc())
+    return idx, lu.solve(rhs).reshape(n_sl, n, 2 * k)
+
+
 def test_batched_smatrix_matches_sparse_solve():
     # forward-only corner recursion against the sparse direct solve of the
     # whole device, on a grid from below the band bottom (no open channel)
@@ -559,7 +616,7 @@ def test_batched_smatrix_matches_sparse_solve():
     for e1 in e_rel + VG:
         s = tr.rgf_smatrix(o, e1)
         leads, _ = tr._leads(o, e1)
-        idx, psi = tr._scattering_solution(o, leads)
+        idx, psi = sparse_scattering_solution(o, leads)
         # psi = G Q: dividing out the sources leaves the open-channel corners
         bloch, velocity = leads.bloch[None, idx], leads.velocity[None, idx]
         amps = tr._injection_amplitudes(bloch, velocity, o.dz)
