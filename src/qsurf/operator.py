@@ -17,7 +17,7 @@ Everything is in natural units (hbar = 1, 2m = 1, lengths a, energies e0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -107,6 +107,11 @@ class LeadModeSet:
     def open_modes(self) -> np.ndarray:
         """The open modes, in ascending order; defined for one energy only."""
         return self.modes[self.open_mask]
+
+    def rows(self, idx) -> LeadModeSet:
+        """The energies at indices idx of a stack, as a stack."""
+        stacked = ("e1", "k", "bloch", "velocity", "open_mask")
+        return replace(self, **{name: getattr(self, name)[idx] for name in stacked})
 
 
 def lead_modes(

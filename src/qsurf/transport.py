@@ -57,12 +57,12 @@ the one ThresholdProximityWarning that names the flagged energies:
   there.  The cost per energy no longer grows with the length of the run;
 * :func:`rgf_smatrix` runs the explicit recursion over every slice, with no
   fold: it is the reference the folded sweep is tested against;
-* density maps need psi on every slice, so they run the same recursion from
-  the left lead over every slice, with no fold, for the one incident column
-  (:func:`_scattering_state`).  The forward pass keeps g_n and the
-  left-connected response x_n = g_n (Q_n - b x_{n-1}) on every slice, with
-  the source Q on the first or last slice; back-substitution then gives
-  psi_N = x_N and psi_n = x_n - b g_n psi_{n+1}.
+* density maps need psi on every slice, so they run the same recursion over
+  every slice, with no fold and the incident channel as the one open column
+  (:func:`_scattering_state`).  They keep g_n; the left-connected response x_n
+  of a source on the first slice is the recursion's own G_n1 column times the
+  source, and zero before the last slice for a source there.  Then
+  back-substitution gives psi_N = x_N and psi_n = x_n - b g_n psi_{n+1}.
 
 Derivation of the injection and extraction formulas, in the conventions of
 :mod:`qsurf.operator` (hopping t = -1/dz^2, lead on-site 2/dz^2 + offset_l):
@@ -314,18 +314,17 @@ def _attach_screw_run(
     )
 
 
-def _corner_recursion(op, e1, sigma, open_idx, stats: Counter) -> _Corners:
-    """Corners of the device Green's function for energies e1 (n_e,) that
-    share the open channels open_idx, given sigma (n_e, n_modes), each
-    restricted to the open channels.
+def _corner_recursion(op, e1, sigma, open_idx, stats: Counter):
+    """Yield the corners of the device Green's function for energies e1 (n_e,),
+    given sigma (n_e, n_modes), after every explicit slice j: G_11 (open rows
+    and columns), G_1j (open rows), G_j1 (open columns) and G_jj = g_j, where
+    the open channels are open_idx.
 
-    Runs the forward-only corner recursion of the module docstring with one
-    batched inversion per slice, and folds the screw run of ``op`` (if any)
-    onto the corners in one step.  Up to slice j the state holds G_11 (open
-    rows and columns), G_1j (open rows), G_j1 (open columns) and G_jj = g_j.
-    Before slice 0 it holds the left lead: its surface Green's function
-    sigma/b^2 as G_jj, G_11 = 0, and -1/b as G_1j and G_j1 on the open
-    channels, so that slice 0 is an ordinary step.
+    One batched inversion per slice, from the left lead as the state before
+    slice 0: sigma/b^2 as G_jj, G_11 = 0 and -1/b as G_1j and G_j1 on the open
+    channels.  The screw run of ``op`` (if any) folds onto the corners in one
+    step with no yield.  The run never holds the last slice, which carries
+    the right lead's sigma, so the last yield is the whole device's corners.
     """
     n_sl, n = op.n_slices, op.n_modes
     run = op.screw
@@ -348,8 +347,7 @@ def _corner_recursion(op, e1, sigma, open_idx, stats: Counter) -> _Corners:
         h = -b * g
         gn1 = h @ c.gn1
         c = _Corners(c.g11 - b * (c.g1n @ gn1), c.g1n @ h, gn1, g)
-    g_nn = c.gnn[:, open_idx][:, :, open_idx]
-    return _Corners(c.g11, c.g1n[:, :, open_idx], c.gn1[:, open_idx], g_nn)
+        yield c
 
 
 def _boundary_blocks(bloch, velocity, corners: _Corners, dz: float):
@@ -369,20 +367,21 @@ def _boundary_blocks(bloch, velocity, corners: _Corners, dz: float):
     return flux * t, flux * r, flux * t_reverse, flux * r_reverse
 
 
-def _solve(op: CoupledChannelOperator, energies, stats: Counter):
+def _solve(op: CoupledChannelOperator, leads: LeadModeSet, stats: Counter):
     """Flux-normalized blocks (t, r, t_reverse, r_reverse), each (n_e, n_open,
-    n_open), of energies that share one set of open channels.  Raises
+    n_open), of a stack of lead modes that share their open channels.  Raises
     NumericalError for the whole block if it is singular or a self-energy fails."""
-    leads = op.lead_mode_set(energies)
     sigma = lead_self_energy(leads, op.dz)
     open_idx = np.flatnonzero(leads.open_mask[0])
     # contiguous, so that block sums add in the same order at any stack size
     bloch = np.ascontiguousarray(leads.bloch[:, open_idx])
     velocity = np.ascontiguousarray(leads.velocity[:, open_idx])
-    if open_idx.size == 0:
-        corners = _Corners(*[np.zeros((bloch.shape[0], 0, 0), dtype=complex)] * 4)
-    else:
-        corners = _corner_recursion(op, leads.e1, sigma, open_idx, stats)
+    corners = _Corners(*[np.zeros((bloch.shape[0], 0, 0), dtype=complex)] * 4)
+    if open_idx.size:
+        for c in _corner_recursion(op, leads.e1, sigma, open_idx, stats):
+            pass
+        g_nn = c.gnn[:, open_idx][:, :, open_idx]
+        corners = _Corners(c.g11, c.g1n[:, :, open_idx], c.gn1[:, open_idx], g_nn)
     return _boundary_blocks(bloch, velocity, corners, op.dz)
 
 
@@ -390,9 +389,9 @@ def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
     """S-matrix at energy e1 via the explicit recursive Green's function
     sweep over every slice, with no screw-run fold: the reference for the
     folded sweep."""
-    leads, flag = _leads(op, e1)
-    blocks = [b[0] for b in _solve(replace(op, screw=None), [e1], Counter())]
-    return SMatrix(float(e1), leads.open_modes, *blocks, bool(flag))
+    leads, flags = _leads(op, [e1])
+    blocks = [b[0] for b in _solve(replace(op, screw=None), leads, Counter())]
+    return SMatrix(float(e1), leads.modes[leads.open_mask[0]], *blocks, bool(flags[0]))
 
 
 def conductance(s: SMatrix):
@@ -452,27 +451,27 @@ def _scattering_state(
     op: CoupledChannelOperator, leads: LeadModeSet, mode: int, side: str
 ) -> np.ndarray:
     """psi (n_slices, n_modes) on every slice for unit-amplitude injection in
-    channel index ``mode`` from the lead on ``side`` (one energy), by block
-    elimination from the left lead and back-substitution (see the module
-    docstring).  Runs over every slice, with no screw-run fold."""
+    channel index ``mode`` from the lead on ``side`` (one energy).  The forward
+    pass is :func:`_corner_recursion` with no fold and ``mode`` as the one open
+    column; its yield after slice j gives g_j and the incident column of G_j1,
+    and its last yield includes the right lead.  The left-connected response
+    is x_j = amp G_j1 for a source amp on slice 0, and x_j = 0 before the last
+    slice for a source there.  Back-substitution then gives psi_{N-1} = x_{N-1}
+    and psi_j = x_j - b g_j psi_{j+1}."""
     n_sl, n = op.n_slices, op.n_modes
     b = -op.hop
     sigma = lead_self_energy(leads, op.dz)
-    q = np.zeros((n_sl, n), dtype=complex)
-    q[0 if side == "left" else -1, mode] = _injection_amplitudes(
-        leads.bloch[mode], leads.velocity[mode], op.dz
-    )
+    amp = _injection_amplitudes(leads.bloch[mode], leads.velocity[mode], op.dz)
     g = np.empty((n_sl, n, n), dtype=complex)
-    x = np.empty((n_sl, n), dtype=complex)
-    g_prev, x_prev = sigma[:, None] * np.eye(n) / b**2, np.zeros(n)
-    e_eye, stats = leads.e1 * np.eye(n), Counter()
-    for j in range(n_sl):
-        d = e_eye - op.onsite[j]
-        d -= b**2 * g_prev
-        if j == n_sl - 1:
-            d -= np.diag(sigma)
-        g_prev = g[j] = _inv(d, f"slice {j}", stats)
-        x_prev = x[j] = g_prev @ (q[j] - b * x_prev)
+    x = np.zeros((n_sl, n), dtype=complex)
+    e1, flat = np.array([leads.e1]), replace(op, screw=None)
+    forward = _corner_recursion(flat, e1, sigma[None], np.array([mode]), Counter())
+    for j, c in enumerate(forward):
+        g[j] = c.gnn[0]
+        if side == "left":
+            x[j] = amp * c.gn1[0, :, 0]
+    if side == "right":
+        x[-1] = amp * g[-1, :, mode]
     for j in range(n_sl - 2, -1, -1):
         x[j] -= b * (g[j] @ x[j + 1])
     return x
@@ -579,7 +578,7 @@ def energy_sweep(
         while queue:
             idx = queue.pop()
             try:
-                solved.append((idx, _solve(op, energies[idx], counts)))
+                solved.append((idx, _solve(op, leads.rows(idx), counts)))
             except NumericalError as exc:
                 if len(idx) > 1:
                     counts["fallback_points"] += len(idx)

@@ -345,7 +345,7 @@ def test_criterion_6_polarization_symmetry_folded(kappa_scan):
     o = helical_op(kappa)
     assert o.screw is not None
     e_rel = np.linspace(1.05, 3.9, 40)
-    t, _, t_reverse, _ = tr._solve(o, e_rel + VG, Counter())
+    t, _, t_reverse, _ = tr._solve(o, o.lead_mode_set(e_rel + VG), Counter())
     modes = np.array([-1, 0, 1])
     assert t.shape == (40, 3, 3)
     p_right = tr._polarization(t, modes, 1)

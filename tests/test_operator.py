@@ -268,6 +268,24 @@ def test_required_dz_rules():
     assert dz <= prof.z_period / 20 + 1e-12
 
 
+def test_given_dz_is_checked_at_the_lead_band_bottom():
+    # a given dz meets k_max dz <= 0.2 with k_max at the lead band bottom;
+    # unlike required_dz, the check leaves out the ditch depth epsilon*E0
+    basis = op.ChannelBasis(l_max=2, radius=1.0)
+    prof, e1_max, n_z = helical(), 8.0, 40
+    dz = 0.2 / np.sqrt(e1_max - basis.threshold(0, include_vg=True))
+    assert op.required_dz(e1_max, basis, prof, WELL) < dz / 1.3
+    assert 1.01 * dz < prof.z_period / 20  # the pitch rule is not the one hit
+    o = op.assemble_coupled_channel(
+        prof, WELL, basis, length=n_z * dz, n_z=n_z, e1_max=e1_max
+    )
+    assert o.dz == pytest.approx(dz, rel=1e-15)
+    with pytest.raises(ResolutionError, match="need dz <="):
+        op.assemble_coupled_channel(
+            prof, WELL, basis, length=n_z * 1.01 * dz, n_z=n_z, e1_max=e1_max
+        )
+
+
 # ---------------------------------------------------------------------------
 # lead modes
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_smallest_devices_match_dense_inversion(kind, n_slices):
     folded = o.screw.stop - o.screw.start if o.screw else 0
     assert folded == (n_slices - 2 if kind == "helical" and n_slices >= 4 else 0)
     for e1 in energies:
-        blocks = tr._solve(o, [e1], Counter())
+        blocks = tr._solve(o, o.lead_mode_set([e1]), Counter())
         for block, dense in zip(blocks, dense_smatrix(o, e1)):
             np.testing.assert_allclose(block[0], dense, rtol=0, atol=1e-12)
 
@@ -459,6 +459,33 @@ def test_density_row_sums_conserved_in_leads():
 # ---------------------------------------------------------------------------
 
 
+def test_each_solve_evaluates_lead_modes_once(monkeypatch):
+    # a sweep evaluates the lead modes of its whole grid once and hands every
+    # energy block its rows; rgf_smatrix and a density map evaluate them once
+    calls = []
+    real_lead_modes = op.lead_modes
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real_lead_modes(*args, **kwargs)
+
+    monkeypatch.setattr(op, "lead_modes", counted)
+    o = helical_operator(pitches=4.0, l_max=4)
+    energies = np.linspace(0.4, 3.9, 48) + VG
+    curve = tr.energy_sweep(o, energies)
+    assert curve.failures == []
+    assert set(curve.n_open) == {1, 3} and curve.solver["stacks"] == 2
+    assert len(calls) == 1
+    solves = {
+        "rgf_smatrix": lambda: tr.rgf_smatrix(o, 1.7 + VG),
+        "scattering_density": lambda: tr.scattering_density(o, 1.7 + VG, 1),
+    }
+    for name, solve in solves.items():
+        calls.clear()
+        solve()
+        assert len(calls) == 1, name
+
+
 def test_staircase_homogeneous():
     # analytic thresholds E_l = l^2/r^2: plateau integer heights 1 -> 3 -> 5
     o = homogeneous_operator(l_max=3, include_vg=False)
@@ -572,7 +599,7 @@ def test_sweep_columns_match_per_point_mapping(record_l):
     assert list(curve.n_open) == [0, 1, 1, 3, 3, 5, 5]
     assert list(curve.threshold_flags) == [False, False, True] + [False] * 4
     for i, (leads, flag) in enumerate(points):
-        blocks = [b[0] for b in tr._solve(o, [energies[i]], Counter())]
+        blocks = [b[0] for b in tr._solve(o, o.lead_mode_set([energies[i]]), Counter())]
         s = tr.SMatrix(energies[i], leads.open_modes, *blocks, bool(flag))
         for name, ref in per_point_columns(s, 1, record_l).items():
             np.testing.assert_allclose(
@@ -695,7 +722,7 @@ def test_fold_exact_at_eigenvalues_of_the_isolated_run():
     eigs = eigs[(eigs > VG + 0.05) & (eigs < VG + 4.4)]
     assert eigs.size >= 3
     for e1 in eigs:
-        folded = tr._solve(o, [e1], Counter())
+        folded = tr._solve(o, o.lead_mode_set([e1]), Counter())
         explicit = tr.rgf_smatrix(o, e1)
         for name, block in zip(("t", "r", "t_reverse", "r_reverse"), folded):
             np.testing.assert_allclose(
