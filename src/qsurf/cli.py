@@ -4,7 +4,8 @@ density maps, and the oracle self-test.
 All physics runs take ``--config <file.json>`` (see README for the schema);
 ``--set section.key=value`` overrides individual fields.  Outputs are CSV for
 curves/grids and JSON for summaries.  Exit codes: 0 success, 1 validation
-error, 2 numerical failure.
+error (bad config or usage, unreadable config, unusable output path), 2
+numerical failure (including a chart that degenerates on the grid).
 
 Units are fixed package-wide: lengths in a, energies in e0 = hbar^2/(2 m a^2),
 conductance in sigma0 = e^2/h (spinless electrons).  Mode-resolved columns use
@@ -116,10 +117,7 @@ def cmd_curvature(args) -> int:
 
     q1, q2 = axis(0, cfg.numerics.grid_n1), axis(1, cfg.numerics.grid_n2)
     qq1, qq2 = np.meshgrid(q1, q2, indexing="ij")
-    try:
-        data = geometry.curvature(chart, (qq1, qq2))
-    except QsurfError as exc:
-        raise NumericalError(f"curvature evaluation failed: {exc}") from exc
+    data = geometry.curvature(chart, (qq1, qq2))
     out = _outdir(args) / f"{cfg.output.prefix}_curvature.csv"
     header = ["q1[a]", "q2[a or rad]", "M[1/a]", "K[1/a^2]", "Vg[e0]"]
     columns = [q1[:, None], q2[None, :], data.mean, data.gaussian, data.potential]
@@ -269,7 +267,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results, ok = selftest.run_selftest(inject=args.inject)
+    results, ok = selftest.run_selftest()
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
     return 0 if ok else 2
@@ -280,8 +278,15 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsurf",
         description="Quantum transport on curved surfaces with inhomogeneous "
         "confinement (natural units: a, e0).",
@@ -311,19 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-theta", type=int, default=64, dest="n_theta")
 
     p = sub.add_parser("selftest", help="run the built-in oracle suite")
-    p.add_argument("--inject", help="deliberate fault for harness tests")
     p.set_defaults(func=cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ProfileError, ResolutionError, ValueError) as exc:
+    except (ConfigError, ProfileError, ResolutionError, ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, ClosedChannelError) as exc:
+    except QsurfError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

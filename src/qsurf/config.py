@@ -7,8 +7,9 @@ energies e0).  Defaults follow the published parameter set where one exists
 it does not (cylinder radius r = 1a, tilt kappa = 1, two ditch lines m_d = 2).
 
 ``resolve`` validates every section and turns the config into ready-to-use
-physics objects plus fully determined numerical parameters; nothing downstream
-re-derives defaults.
+physics objects plus fully determined numerical parameters.  One default is
+set downstream: ``qsurf density`` sets an unset ``numerics.lead_pad`` to two
+helix pitches (half the window for a homogeneous profile) and resolves again.
 """
 
 from __future__ import annotations

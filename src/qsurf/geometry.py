@@ -47,7 +47,7 @@ class SurfaceChart:
     position : callable
         ``position(q1, q2) -> (..., 3)`` array; must broadcast over arrays.
     domain : ((q1_min, q1_max), (q2_min, q2_max))
-        Coordinate box.
+        Coordinate box; each range must be finite and increasing.
     periodic : (bool, bool)
         Periodicity flag per axis.  Points on periodic axes are accepted
         outside the box (the map must be periodic there).
@@ -82,6 +82,11 @@ class SurfaceChart:
             raise ValueError("orientation must be +1 or -1")
         if (self.jacobian is None) != (self.hessian is None):
             raise ValueError("give both jacobian and hessian callbacks, or neither")
+        for axis, (lo, hi) in enumerate(self.domain):
+            if not -np.inf < lo < hi < np.inf:  # NaN fails every comparison
+                raise ValueError(
+                    f"q{axis + 1} range [{lo}, {hi}] must be finite and increasing"
+                )
 
     def extent(self, axis: int) -> float:
         lo, hi = self.domain[axis]

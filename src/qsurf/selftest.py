@@ -6,14 +6,14 @@ a dense Green's-function inversion, the unitarity/flux identities, and the
 explicit slice recursion as the reference for the sweeps' screw-run fold.  The
 dense inversion and the unitarity identities check both transport paths: the
 explicit recursion of ``rgf_smatrix`` and the folded one of ``energy_sweep``.
-The ``inject`` hook deliberately corrupts one quantity so the test harness can
-verify that the corresponding suite actually fails.
+The checks take no fault hooks: the tests fault the production functions they
+exercise and confirm that the matching check fails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def barrier_operator(
 # ---------------------------------------------------------------------------
 
 
-def check_curvature_analytics(inject: str | None = None) -> CheckResult:
+def check_curvature_analytics() -> CheckResult:
     """Built-in charts against closed-form curvatures, both evaluation paths."""
     cases = []
     r, big, small = 1.0, 2.0, 0.5
@@ -128,14 +128,11 @@ def check_curvature_analytics(inject: str | None = None) -> CheckResult:
     for chart, q, abs_m, k_exact in cases:
         for mode_chart, tol in ((chart, 1e-12), (chart.as_fd(), 1e-6)):
             c = geometry.curvature(mode_chart, q)
-            vg = c.potential
-            if inject == "vg_sign":
-                vg = -vg
             scale = max(abs(abs_m) ** 2, abs(k_exact), 1e-12)
             err = max(
                 abs(abs(c.mean) - abs_m) / max(abs_m, 1e-12),
                 abs(c.gaussian - k_exact) / max(abs(k_exact), scale),
-                abs(vg - (-(abs_m**2 - k_exact))) / scale,
+                abs(c.potential - (-(abs_m**2 - k_exact))) / scale,
             )
             worst = max(worst, err / tol)
     passed = worst <= 1.0
@@ -146,7 +143,7 @@ def check_curvature_analytics(inject: str | None = None) -> CheckResult:
     )
 
 
-def check_square_barrier(inject: str | None = None) -> CheckResult:
+def check_square_barrier() -> CheckResult:
     """RGF single-channel barrier against the analytic transmission formula."""
     v0, length = 1.0, 2.0
     op = barrier_operator(v0, length, dz=2.5e-4)
@@ -162,17 +159,7 @@ def check_square_barrier(inject: str | None = None) -> CheckResult:
     )
 
 
-def _sweep_point(
-    op: operator.CoupledChannelOperator, e1: float, inject: str | None
-) -> transport.ConductanceCurve:
-    """One energy through ``energy_sweep``, the path that folds the screw run.
-    The ``screw_pitch`` fault folds the run with a pitch 1% off."""
-    if inject == "screw_pitch" and op.screw is not None:
-        op = replace(op, screw=replace(op.screw, q=1.01 * op.screw.q))
-    return transport.energy_sweep(op, [e1])
-
-
-def check_dense_equivalence(inject: str | None = None) -> CheckResult:
+def check_dense_equivalence() -> CheckResult:
     """Slice recursion, explicit and folded, against dense inversion on small
     systems."""
     rng = np.random.default_rng(7)
@@ -191,7 +178,8 @@ def check_dense_equivalence(inject: str | None = None) -> CheckResult:
         t_dense = dense_smatrix(op, e1)[0]
         sigma_dense = float(np.sum(np.abs(t_dense) ** 2))
         gaps["rgf"].append(float(np.sum(np.abs(s.t) ** 2)) - sigma_dense)
-        gaps["sweep"].append(_sweep_point(op, e1, inject).sigma_total[0] - sigma_dense)
+        sigma_sweep = transport.energy_sweep(op, [e1]).sigma_total[0]
+        gaps["sweep"].append(sigma_sweep - sigma_dense)
     # np.max keeps the NaN of a failed sweep point, and NaN fails the check
     worst = {path: float(np.max(np.abs(g))) for path, g in gaps.items()}
     return CheckResult(
@@ -202,11 +190,11 @@ def check_dense_equivalence(inject: str | None = None) -> CheckResult:
     )
 
 
-def check_unitarity(inject: str | None = None, samples: int = 20) -> CheckResult:
+def check_unitarity() -> CheckResult:
     """Random-parameter battery of S-matrix unitarity and flux conservation."""
     rng = np.random.default_rng(11)
     well = confinement.TransverseWell(e0=70.0)
-    residuals = {"rgf": [], "sweep": []}
+    residuals, samples = {"rgf": [], "sweep": []}, 20
     for _ in range(samples):
         eps = float(rng.uniform(0.02, 0.2))
         m_d = int(rng.integers(1, 4))
@@ -224,10 +212,8 @@ def check_unitarity(inject: str | None = None, samples: int = 20) -> CheckResult
             if np.min(np.abs(e1 - offsets)) > 1e-3:
                 break
         s = transport.rgf_smatrix(op, e1)
-        if inject == "velocity_norm" and s.n_open:
-            s = replace(s, t=s.t * 1.01)
         residuals["rgf"] += [s.unitarity_residual(), s.flux_error()]
-        curve = _sweep_point(op, e1, inject)
+        curve = transport.energy_sweep(op, [e1])
         residuals["sweep"] += [curve.unitarity[0], curve.flux_error[0]]
     worst = {path: float(np.max(r)) for path, r in residuals.items()}
     return CheckResult(
@@ -238,7 +224,7 @@ def check_unitarity(inject: str | None = None, samples: int = 20) -> CheckResult
     )
 
 
-def check_sweep_fold(inject: str | None = None) -> CheckResult:
+def check_sweep_fold() -> CheckResult:
     """The sweep path (screw-run fold) against the explicit slice recursion.
 
     A 4-pitch helical window with a 1-pitch taper records a screw run, which
@@ -280,7 +266,7 @@ _CHECKS = (
 )
 
 
-def run_selftest(inject: str | None = None):
+def run_selftest():
     """Run every check; returns (results, all_passed)."""
-    results = [check(inject=inject) for check in _CHECKS]
+    results = [check() for check in _CHECKS]
     return results, all(r.passed for r in results)

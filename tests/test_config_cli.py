@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import metadata
@@ -15,7 +16,7 @@ import pytest
 import qsurf
 from qsurf import cli
 from qsurf import config as cfgmod
-from qsurf import operator, transport
+from qsurf import geometry, operator, selftest, transport
 from qsurf.errors import ConfigError
 from test_transport import forged_self_energy
 
@@ -723,17 +724,118 @@ def test_python_m_qsurf_runs_uninstalled(tmp_path):
     assert run("curvature").returncode == 1  # no --config
 
 
-def test_cmd_selftest_fault_injection():
-    # a deliberate V_g sign flip must fail the curvature suite,
-    # a perturbed flux normalization must fail the unitarity suite,
-    # a screw run folded with the wrong pitch must fail the dense oracle
-    assert cli.main(["selftest", "--inject", "vg_sign"]) == 2
-    assert cli.main(["selftest", "--inject", "velocity_norm"]) == 2
-    assert cli.main(["selftest", "--inject", "screw_pitch"]) == 2
+def test_cmd_selftest_fault_injection(monkeypatch, capsys):
+    # each fault lands in the production code and must fail the check that
+    # guards it: a V_g sign flip the curvature suite, a flux normalization 1%
+    # off the unitarity battery, a screw run folded with a pitch 1% off both
+    # oracles of the folded sweep
+    assert selftest.check_curvature_analytics().passed
+    with monkeypatch.context() as m:
+        flipped = property(lambda c: np.maximum(c.mean**2 - c.gaussian, 0.0))
+        m.setattr(geometry.CurvatureData, "potential", flipped)
+        assert cli.main(["selftest"]) == 2
+    # V_g enters no transport check, so the other four pass unfaulted
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines if ln.startswith("FAIL")] == [
+        "FAIL  curvature_analytics"
+    ]
+    assert sum(ln.startswith("PASS") for ln in lines) == 4
+
+    amplitudes = transport._injection_amplitudes
+    with monkeypatch.context() as m:
+        m.setattr(transport, "_injection_amplitudes", lambda *a: 1.01 * amplitudes(*a))
+        unitarity = selftest.check_unitarity()
+    rgf, sweep = re.search(r"= (\S+) rgf, (\S+) sweep", unitarity.detail).groups()
+    assert not unitarity.passed and min(float(rgf), float(sweep)) > 1e-8
+
+    attach = transport._attach_screw_run
+
+    def off_pitch(op, *args):
+        run = dataclasses.replace(op.screw, q=1.01 * op.screw.q)
+        return attach(dataclasses.replace(op, screw=run), *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(transport, "_attach_screw_run", off_pitch)
+        assert not selftest.check_sweep_fold().passed
+        dense = selftest.check_dense_equivalence()
+    rgf, sweep = map(float, re.findall(r"= ([^,\s]+)", dense.detail))
+    assert not dense.passed and rgf <= 1e-10 < sweep  # rgf_smatrix never folds
 
 
 def test_missing_config_is_validation_error():
     assert cli.main(["sweep"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--config", "cfg.json"],
+        ["density", "--config", "cfg.json", "--e1", "abc", "--mode", "0"],
+        ["bogus"],
+        [],
+        ["selftest", "--inject", "vg_sign"],
+    ],
+    ids=["density-no-e1", "density-e1-abc", "unknown-command", "no-command", "inject"],
+)
+def test_usage_error_is_validation_error(capsys, argv):
+    # argparse's own exit code 2 would read as a numerical failure
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("validation error: qsurf")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "selftest" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "config, out",
+    [("missing.json", "out"), ("a_dir", "out"), ("cfg.json", "cfg.json")],
+    ids=["missing-config", "config-is-dir", "out-is-file"],
+)
+def test_unusable_path_exits_1_naming_it(tmp_path, capsys, config, out):
+    write_config(tmp_path, paper_config())
+    (tmp_path / "a_dir").mkdir()
+    argv = ["curvature", "--config", str(tmp_path / config)]
+    assert cli.main(argv + ["--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and str(tmp_path / config) in err
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("cylinder", {"z_extent": [1.0, 1.0]}),
+        ("cylinder", {"z_extent": [2.0, 1.0]}),
+        ("plane", {"extent": [0.0, 0.0]}),
+    ],
+    ids=["z_extent-empty", "z_extent-reversed", "plane-empty"],
+)
+@pytest.mark.parametrize("command", ["curvature", "spectrum"])
+def test_cmd_degenerate_chart_range_exits_1(tmp_path, capsys, kind, params, command):
+    # these ended in ZeroDivisionError, DomainError or a "numerical failure"
+    cfg = paper_config()
+    cfg.chart.kind, cfg.chart.params = kind, params
+    cfg.profile.kind = "homogeneous"
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "chart.params: " in err and "must be finite and increasing" in err
+    assert not list(tmp_path.glob("run_*"))
+
+
+@pytest.mark.parametrize("command", ["curvature", "spectrum"])
+def test_cmd_chart_degenerate_on_grid_exits_2(tmp_path, capsys, command):
+    # a valid chart whose metric is singular on the grid is a numerical failure
+    cfg = paper_config()
+    cfg.chart.kind, cfg.chart.params = "plane", {"shear": 1e9}
+    cfg.profile.kind = "homogeneous"
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "numerical failure: degenerate parametrization" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run_*"))
 
 
 @pytest.mark.parametrize(
