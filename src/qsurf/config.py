@@ -58,7 +58,6 @@ class NumericsSpec:
     length: Optional[float] = field(default=None, metadata={"above": 0})  # window
     taper: float = field(default=0.0, metadata={"min": 0})  # cosine ramp, 0: abrupt
     lead_pad: Optional[float] = field(default=None, metadata={"min": 0})  # clean lead
-    n_theta: Optional[int] = None
     include_vg: bool = True
     workers: int = field(default=1, metadata={"min": 1})
     grid_n1: int = field(default=32, metadata={"min": 1})  # curvature/spectrum grids
@@ -256,11 +255,9 @@ class ResolvedSetup:
     dz: float
     taper: float
     lead_pad: float
-    n_theta: Optional[int]
     include_vg: bool
     band_bottom: float  # lead l=0 threshold in absolute E1
     energies: np.ndarray  # absolute E1 grid
-    energies_relative: np.ndarray
     thresholds_relative: np.ndarray
     e1_max_absolute: float
 
@@ -387,13 +384,12 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
         )
 
     thresholds_rel = np.unique(basis.threshold(basis.modes, include_vg=False))
-    grid_rel = transport.sweep_energies(
+    energies = band_bottom + transport.sweep_energies(
         sw.e1_min + shift - band_bottom,
         sw.e1_max + shift - band_bottom,
         sw.n_points,
         thresholds_rel,
     )
-    energies = grid_rel + band_bottom
 
     return ResolvedSetup(
         chart=chart,
@@ -404,11 +400,9 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
         dz=dz,
         taper=taper,
         lead_pad=lead_pad,
-        n_theta=num.n_theta,
         include_vg=num.include_vg,
         band_bottom=band_bottom,
         energies=energies,
-        energies_relative=grid_rel,
         thresholds_relative=thresholds_rel,
         e1_max_absolute=e1_max_abs,
     )
@@ -417,8 +411,8 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
 def build_operator(setup: ResolvedSetup):
     """Assemble the coupled-channel operator described by a resolved setup.
 
-    The operator's errors lead with the parameter at fault (``n_theta``,
-    ``dz``, ``length``), so the ConfigError names ``numerics.<key>``.
+    The operator's errors lead with the parameter at fault (``dz`` or
+    ``length``), so the ConfigError names ``numerics.<key>``.
     """
     try:
         return operator.assemble_coupled_channel(
@@ -430,7 +424,6 @@ def build_operator(setup: ResolvedSetup):
             lead_pad=setup.lead_pad,
             taper=setup.taper,
             include_vg=setup.include_vg,
-            n_theta=setup.n_theta,
             e1_max=setup.e1_max_absolute,
         )
     except (ResolutionError, ValueError) as exc:

@@ -28,7 +28,8 @@ class ConfinementProfile:
 
     ``s`` must broadcast over arrays.  ``epsilon`` bounds |s - 1|; ``kind`` is
     one of "homogeneous", "helical", "custom".  ``params`` carries the
-    construction parameters (m_d, omega, kappa, ... for helical profiles).
+    construction parameters (m_d, omega, kappa, ... for helical profiles; a
+    custom profile may declare its angular harmonic m_d and nothing else).
     ``z_period`` is the potential period along the second axis (None if the
     profile does not oscillate there).
     """
@@ -44,12 +45,10 @@ class ConfinementProfile:
 
     @property
     def theta_harmonic(self) -> Optional[int]:
-        """Highest angular harmonic of s, when known (helical/homogeneous)."""
+        """Highest angular harmonic of s: 0 if homogeneous, else m_d if declared."""
         if self.kind == "homogeneous":
             return 0
-        if self.kind == "helical":
-            return int(self.params["m_d"])
-        return None
+        return self.params.get("m_d")
 
 
 @dataclass(frozen=True)
@@ -175,9 +174,8 @@ def custom_profile(
     theta_harmonic: Optional[int] = None,
 ) -> ConfinementProfile:
     params = {} if theta_harmonic is None else {"m_d": int(theta_harmonic)}
-    kind = "helical" if theta_harmonic is not None else "custom"
     return ConfinementProfile(
-        s=s, epsilon=float(epsilon), kind=kind, params=params, z_period=z_period
+        s=s, epsilon=float(epsilon), params=params, z_period=z_period
     )
 
 

@@ -500,15 +500,13 @@ def from_position_map(
     periodic: tuple[bool, bool] = (False, False),
     orientation: int = 1,
     fd_step: Optional[tuple[float, float]] = None,
-    vectorized: bool = True,
     kind: str = "custom",
 ) -> SurfaceChart:
     """Chart from a bare position map, evaluated by finite differences.
 
-    If the map is not numpy-broadcast-safe, pass ``vectorized=False``.
+    The map must broadcast over arrays; wrap one that takes only scalars as
+    ``np.vectorize(f, signature="(),()->(3)")``.
     """
-    if not vectorized:
-        position = np.vectorize(position, signature="(),()->(3)")
     return SurfaceChart(
         kind=kind,
         position=position,

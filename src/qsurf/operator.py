@@ -168,13 +168,17 @@ def fourier_couplings(
     well: TransverseWell,
     basis: ChannelBasis,
     z,
-    n_theta: Optional[int] = None,
 ) -> np.ndarray:
     """Angular-mode matrix of (s - 1) E0 at height(s) z.
 
     V_{l,l'}(z) = (1/2pi) Int_0^{2pi} e^{-i(l-l') theta} (s(theta,z)-1) E0 dtheta,
     evaluated by FFT.  The matrix is Hermitian and Toeplitz in l - l'; for the
     single-cosine helical profile only |l - l'| in {0, m_d} survives.
+
+    The FFT takes max(64, 4 l_max + 2, 8 m_d) theta samples, m_d being the
+    profile's declared harmonic, or 256 samples for a profile that declares
+    none: every |l - l'| <= 2 l_max gets its own FFT bin, and the declared
+    harmonic is sampled eight times per period.
 
     z may be a scalar (returns (n, n)) or a 1D array (returns (len(z), n, n)).
     """
@@ -186,20 +190,7 @@ def fourier_couplings(
         return out[0] if scalar else out
 
     m_d = profile.theta_harmonic
-    nyquist_floor = 2 * (2 * basis.l_max) + 2
-    if n_theta is None:
-        n_theta = max(64, nyquist_floor, 8 * m_d if m_d else 256)
-    if m_d is not None and m_d >= 1 and n_theta < 8 * m_d:
-        raise ResolutionError(
-            f"n_theta = {n_theta} under-samples the corrugation "
-            f"(need >= 8*m_d = {8 * m_d} theta-samples)"
-        )
-    if n_theta < nyquist_floor:
-        raise ResolutionError(
-            f"n_theta = {n_theta} cannot resolve couplings out to |l-l'| = "
-            f"{2 * basis.l_max} (need >= {nyquist_floor})"
-        )
-
+    n_theta = max(64, 4 * basis.l_max + 2, 8 * m_d if m_d else 256)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     f = add_morphology(0.0, profile, well, theta[None, :], zs[:, None])  # (nz, n_theta)
     coeff = np.fft.fft(f, axis=1) / n_theta  # c_m = (1/n) sum f e^{-i m theta}
@@ -370,7 +361,6 @@ def assemble_coupled_channel(
     lead_pad: float = 0.0,
     taper: float = 0.0,
     include_vg: bool = True,
-    n_theta: Optional[int] = None,
     e1_max: Optional[float] = None,
     closed: bool = False,
 ) -> CoupledChannelOperator:
@@ -428,7 +418,7 @@ def assemble_coupled_channel(
             weights = _taper_weight(z_nodes, length, taper)
         active = weights > 0.0
         if np.any(active):
-            v = fourier_couplings(profile, well, basis, z_nodes[active], n_theta)
+            v = fourier_couplings(profile, well, basis, z_nodes[active])
             onsite[active] += weights[active, None, None] * v
         if not closed:
             screw = _screw_run(profile, basis.modes, z_nodes, weights, onsite)

@@ -73,6 +73,28 @@ def test_unknown_keys_rejected():
         cfgmod.parse(json.dumps({"wells": {}}))
 
 
+@pytest.mark.parametrize(
+    "config, sets",
+    [
+        ({}, ["numerics.n_theta=16"]),
+        ({}, ["numerics.n_theta=10000000000000"]),
+        ({"numerics": {"n_theta": None}}, []),
+    ],
+    ids=["set-16", "set-huge", "file-null"],
+)
+def test_cmd_n_theta_is_unknown_key(tmp_path, capsys, config, sets):
+    # the coupling FFT sizes itself from l_max and the profile's harmonic
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    args = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+    for assignment in sets:
+        args += ["--set", assignment]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "unknown key" in err and "n_theta" in err
+    assert "Traceback" not in err
+
+
 def test_validation_rejects_bad_epsilon():
     cfg = paper_config()
     cfg.profile.epsilon = 0.9
@@ -210,7 +232,6 @@ def test_cmd_value_outside_constraint_exits_1(
         ("profile.epsilon=0.7", ["profile.epsilon"]),
         ("profile.ditch_count=3", ["profile.ditch_count"]),
         ("well.omega=140", ["well.e0", "well.omega"]),  # e0 keeps its default
-        ("numerics.n_theta=0", ["numerics.n_theta"]),
         ('chart.params={"radius": -1}', ["chart.params"]),
         (
             ("profile.omega=0.3", "profile.ditch_count=null"),
@@ -222,7 +243,7 @@ def test_cmd_value_outside_constraint_exits_1(
         ),
     ],
     ids=[
-        "epsilon", "ditch_count", "well", "n_theta", "chart_params",
+        "epsilon", "ditch_count", "well", "chart_params",
         "omega_below_1", "omega_off_integer",
     ],
 )
@@ -304,7 +325,7 @@ def test_chart_mode_param_rejected(tmp_path, capsys):
 def test_resolved_energies_avoid_thresholds():
     cfg = paper_config(e1_min=0.5, e1_max=1.5, n_points=3)  # grid hits 1.0
     setup = cfgmod.resolve(cfg)
-    assert np.min(np.abs(setup.energies_relative - 1.0)) > 1e-9
+    assert np.min(np.abs(setup.energies - setup.band_bottom - 1.0)) > 1e-9
 
 
 # ---------------------------------------------------------------------------

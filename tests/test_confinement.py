@@ -41,6 +41,14 @@ def test_helical_m_d_from_omega_radius():
     assert prof.params["m_d"] == 6
 
 
+def test_custom_profile_declares_harmonic_without_helix():
+    prof = cf.custom_profile(lambda t, z: 1.0 - 0.05 * np.cos(3 * t), 0.05,
+                             theta_harmonic=3)
+    assert prof.kind == "custom"
+    assert prof.theta_harmonic == 3
+    assert cf.custom_profile(prof.s, 0.05).theta_harmonic is None
+
+
 def test_helical_rejects_nonintegral_omega_radius():
     with pytest.raises(ProfileError):
         cf.helical_profile(0.1, 8.3, 1.0, radius=1.0)

@@ -76,7 +76,7 @@ def test_couplings_match_adaptive_quadrature():
     prof = cf.custom_profile(s, epsilon=0.06)
     basis = op.ChannelBasis(l_max=3)
     z0 = 0.91
-    v = op.fourier_couplings(prof, WELL, basis, z0, n_theta=256)
+    v = op.fourier_couplings(prof, WELL, basis, z0)
     e0 = 70.0
     for i, li in enumerate(basis.modes):
         for j, lj in enumerate(basis.modes):
@@ -92,12 +92,6 @@ def test_couplings_match_adaptive_quadrature():
             im = quad(integrand_im, 0, 2 * np.pi, limit=200, epsabs=1e-13)[0]
             exact = (re + 1j * im) / (2 * np.pi)
             assert abs(v[i, j] - exact) < 1e-10
-
-
-def test_couplings_aliasing_guard():
-    basis = op.ChannelBasis(l_max=2)
-    with pytest.raises(ResolutionError):
-        op.fourier_couplings(helical(), WELL, basis, 0.0, n_theta=12)
 
 
 # ---------------------------------------------------------------------------

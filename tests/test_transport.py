@@ -21,7 +21,7 @@ from qsurf.errors import (
     ThresholdProximityWarning,
     UndefinedPolarizationError,
 )
-from qsurf.selftest import dense_smatrix, square_barrier_transmission
+from qsurf.selftest import dense_smatrix
 
 WELL = cf.TransverseWell(e0=70.0)
 VG = -0.25  # cylinder r = 1
@@ -145,17 +145,6 @@ def test_zero_open_channels():
         tr.polarization(s)
 
 
-def test_square_barrier_matches_analytic_formula():
-    from qsurf.selftest import barrier_operator
-
-    v0, length = 1.0, 2.0
-    o = barrier_operator(v0, length, dz=2.5e-4)
-    for e in (0.3, 0.6, 0.95, 1.4, 2.5):
-        s = tr.rgf_smatrix(o, e)
-        got = float(np.abs(s.t[0, 0]) ** 2)
-        assert got == pytest.approx(square_barrier_transmission(e, v0, length), abs=1e-6)
-
-
 def test_rgf_equals_dense_inversion():
     rng = np.random.default_rng(21)
     for _ in range(6):
@@ -194,28 +183,6 @@ def test_smallest_devices_match_dense_inversion(kind, n_slices):
         blocks = tr._solve(o, o.lead_mode_set([e1]), Counter())
         for block, dense in zip(blocks, dense_smatrix(o, e1)):
             np.testing.assert_allclose(block[0], dense, rtol=0, atol=1e-12)
-
-
-def test_unitarity_random_battery():
-    rng = np.random.default_rng(22)
-    for _ in range(40):
-        eps = float(rng.uniform(0.02, 0.2))
-        m_d = int(rng.integers(1, 4))
-        kappa = float(rng.uniform(0.3, 2.0))
-        prof = cf.helical_profile(eps, float(m_d), kappa, radius=1.0)
-        basis = op.ChannelBasis(l_max=m_d + 3, radius=1.0)
-        o = op.assemble_coupled_channel(
-            prof, WELL, basis, length=3.0, dz=min(0.04, prof.z_period / 20)
-        )
-        offsets = np.unique(o.lead_offsets)
-        e1 = None
-        while e1 is None:
-            cand = float(rng.uniform(0.05, 4.0) + offsets.min())
-            if np.min(np.abs(cand - offsets)) > 1e-3:
-                e1 = cand
-        s = tr.rgf_smatrix(o, e1)
-        assert s.unitarity_residual() <= 1e-8
-        assert s.flux_error() <= 1e-8
 
 
 def test_helical_mode_preference():
