@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,23 +40,28 @@ def _write_csv(path: Path, header, columns) -> None:
     """Stream a CSV table one outer row at a time.
 
     The float ``columns`` broadcast to one (outer, inner) table; a 1-D column
-    runs along the outer axis.  Each value is formatted once, so a grid axis
-    laid out as (1, inner) costs one string per grid point, not one per row.
+    runs along the outer axis.  Each column is formatted in one lazy map over
+    its own values, once per value, and repeated where it broadcasts; the
+    rows zip those columns together.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
     n_outer, n_inner = np.broadcast_shapes(*(c.shape for c in cols))
 
-    def cells(c, i):
-        text = list(map(_FMT.__mod__, c[i].tolist()))
-        return text * n_inner if len(text) < n_inner else text
+    def cells(c):
+        """The strings of column c in table order, outer-major."""
+        text = map(_FMT.__mod__, chain.from_iterable(map(np.ndarray.tolist, c)))
+        if c.shape[1] < n_inner:  # one value per outer row
+            text = chain.from_iterable(map(repeat, text, repeat(n_inner)))
+        if c.shape[0] < n_outer:  # one outer row for all of them
+            text = chain.from_iterable(repeat(list(text), n_outer))
+        return text
 
-    fixed = {k: cells(c, 0) for k, c in enumerate(cols) if len(c) == 1}
+    rows = map(",".join, zip(*map(cells, cols)))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{UNITS_NOTE}\n{','.join(header)}\n")
-        for i in range(n_outer):
-            row = [fixed[k] if k in fixed else cells(c, i) for k, c in enumerate(cols)]
-            f.write("\n".join(map(",".join, zip(*row))) + "\n")
+        for _ in range(n_outer):
+            f.write("\n".join(islice(rows, n_inner)) + "\n")
 
 
 class _Stopwatch:

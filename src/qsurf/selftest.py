@@ -3,7 +3,8 @@
 Each check compares a library result against an independently derived
 reference: closed-form curvatures, the analytic square-barrier transmission,
 a dense Green's-function inversion, the unitarity/flux identities, and the
-explicit slice recursion as the reference for the sweeps' screw-run fold.  The
+explicit slice recursion on all modes as the reference for the sweeps' split
+into angular-momentum sectors and their screw-run fold.  The
 dense inversion and the unitarity identities check both transport paths: the
 explicit recursion of ``rgf_smatrix`` and the folded one of ``energy_sweep``.
 The checks take no fault hooks: the tests fault the production functions they
@@ -225,12 +226,16 @@ def check_unitarity() -> CheckResult:
 
 
 def check_sweep_fold() -> CheckResult:
-    """The sweep path (screw-run fold) against the explicit slice recursion.
+    """The sweep path (sectors solved apart, screw run folded) against the
+    explicit slice recursion on all modes at once.
 
     A 4-pitch helical window with a 1-pitch taper records a screw run, which
-    ``energy_sweep`` folds by segment doubling; ``rgf_smatrix`` recurses over
-    every slice.  The energies keep clear of the sharp resonance near
-    ``e_rel = 0.2``, where the fold loses about ten times more accuracy.
+    ``energy_sweep`` folds by segment doubling in each sector of l mod m_d;
+    ``rgf_smatrix`` recurses over every slice, unsplit.  Its transmission
+    between sectors must vanish, |t| <= 1e-13, which certifies the selection
+    rule Delta l = 0 (mod m_d) on the reference path.  The energies keep clear
+    of the sharp resonance near ``e_rel = 0.2``, where the fold loses about
+    ten times more accuracy.
     """
     profile = confinement.helical_profile(0.1, 8.0, 0.5, ditch_count=2)
     pitch = profile.z_period
@@ -246,14 +251,24 @@ def check_sweep_fold() -> CheckResult:
         return CheckResult("sweep_fold_equivalence", False, "no screw run recorded")
     energies = float(np.min(op.lead_offsets)) + np.array([0.35, 0.9, 1.7, 2.6, 3.4])
     curve = transport.energy_sweep(op, energies)
-    ref = [float(np.sum(np.abs(transport.rgf_smatrix(op, e).t) ** 2)) for e in energies]
+    sector_of = np.empty(op.n_modes, dtype=int)
+    for k, sector in enumerate(transport._sectors(op)):
+        sector_of[sector.idx] = k
+    ref, across = [], 0.0
+    for e in energies:
+        s = transport.rgf_smatrix(op, e)
+        ref.append(float(np.sum(np.abs(s.t) ** 2)))
+        label = sector_of[s.open_modes + op.basis.l_max]
+        apart = label[:, None] != label[None, :]
+        across = max(across, float(np.max(np.abs(s.t[apart]), initial=0.0)))
     worst = float(np.max(np.abs(curve.sigma_total - ref)))
     folded = op.screw.stop - op.screw.start
     return CheckResult(
         "sweep_fold_equivalence",
-        worst <= 1e-10,
-        f"max |sigma_sweep - sigma_rgf| = {worst:.3g}, {folded} slices folded "
-        "(tol 1e-10)",
+        worst <= 1e-10 and across <= 1e-13,
+        f"max |sigma_sweep - sigma_rgf| = {worst:.3g} over sectors of "
+        f"{curve.solver['sectors']} modes, {folded} slices folded (tol 1e-10); "
+        f"max cross-sector |t_rgf| = {across:.3g} (tol 1e-13)",
     )
 
 

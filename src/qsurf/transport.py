@@ -12,13 +12,22 @@ Every solver starts from :func:`_leads`: the lead modes and threshold flags
 of one energy, or of a stack of energies with one array row per energy, and
 the one ThresholdProximityWarning that names the flagged energies:
 
+* the helical profile has only the theta harmonics 0 and +-m_d, so the
+  on-site blocks couple channel l only to l +- m_d: the selection rule is
+  Delta l = 0 (mod m_d).  The hopping, the lead self-energies and the screw
+  gauge are diagonal, so the open problem is block diagonal in l mod m_d.
+  :func:`_sectors` takes these blocks from the nonzero pattern of the on-site
+  blocks, not from the profile, so custom profiles split too and a
+  homogeneous one splits into single modes.  Sweeps and density maps solve
+  each sector on its own (:class:`_Sector`, the sector view of the operator),
+  and every S-matrix entry between sectors is exactly 0;
 * the S-matrix only needs the corner blocks G_11, G_N1, G_1N, G_NN of the
   retarded Green's function, restricted to the open channels
   (:class:`_Corners`).  A forward-only recursive Green's function (RGF)
-  sweep carries them slice by slice for a block of up to 32 energies that
-  share their open channels.  With D_n the diagonal block of (E - H - Sigma),
-  b = 1/dz^2 the off-diagonal block and g_n the left-connected Green's
-  function of slices 1..n:
+  sweep carries them slice by slice for a block of up to 128 energies that
+  share their open channels, one sector at a time.  With D_n the diagonal
+  block of (E - H - Sigma), b = 1/dz^2 the off-diagonal block and g_n the
+  left-connected Green's function of slices 1..n:
 
       g_n  = (D_n - b^2 g_{n-1})^{-1}
       G_n1 = -b g_n G_{n-1,1}                       (open columns only)
@@ -55,14 +64,16 @@ the one ThresholdProximityWarning that names the flagged energies:
   with gamma_A = 0, every later one through T.  The last slice is then
   rotated back with W and undressed, and the slice recursion carries on from
   there.  The cost per energy no longer grows with the length of the run;
-* :func:`rgf_smatrix` runs the explicit recursion over every slice, with no
-  fold: it is the reference the folded sweep is tested against;
+* :func:`rgf_smatrix` runs the explicit recursion over every slice on all
+  modes at once, with no fold and no split: it is the reference the split,
+  folded sweep is tested against;
 * density maps need psi on every slice, so they run the same recursion over
-  every slice, with no fold and the incident channel as the one open column
-  (:func:`_scattering_state`).  They keep g_n; the left-connected response x_n
-  of a source on the first slice is the recursion's own G_n1 column times the
-  source, and zero before the last slice for a source there.  Then
-  back-substitution gives psi_N = x_N and psi_n = x_n - b g_n psi_{n+1}.
+  every slice of the incident channel's sector, with no fold and the incident
+  channel as the one open column (:func:`_scattering_state`).  They keep g_n;
+  the left-connected response x_n of a source on the first slice is the
+  recursion's own G_n1 column times the source, and zero before the last
+  slice for a source there.  Then back-substitution gives psi_N = x_N and
+  psi_n = x_n - b g_n psi_{n+1}.
 
 Derivation of the injection and extraction formulas, in the conventions of
 :mod:`qsurf.operator` (hopping t = -1/dz^2, lead on-site 2/dz^2 + offset_l):
@@ -96,7 +107,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -106,11 +117,13 @@ from .errors import (
     ThresholdProximityWarning,
     UndefinedPolarizationError,
 )
-from .operator import CoupledChannelOperator, LeadModeSet
+from .operator import CoupledChannelOperator, LeadModeSet, ScrewRun
 
 THRESHOLD_ATOL = 1e-9
 _DRESSING = 0.03  # i gamma on the end slices of folded segments, gamma in 1/dz^2
-_ENERGY_BLOCK = 32  # energies per corner recursion; bounds the work arrays
+# energies per corner recursion; bounds the work arrays.  A sector of 7 modes
+# holds about as many bytes at 128 energies as 13 modes did at 32
+_ENERGY_BLOCK = 128
 
 
 def lead_self_energy(leads: LeadModeSet, dz: float) -> np.ndarray:
@@ -281,19 +294,68 @@ def _join(
     )
 
 
-def _attach_screw_run(
-    op: CoupledChannelOperator, c: _Corners, e_eye, stats: Counter
-) -> _Corners:
-    """Extend the left-connected corners c over the screw run: join the
-    dressed powers of the screw cell onto them in the screw gauge, then rotate
-    the run's last slice back to the lab frame and remove its dressing i gamma
-    (see the module docstring)."""
-    run, modes, b = op.screw, op.basis.modes, -op.hop
+@dataclass(frozen=True)
+class _Sector:
+    """The sector view of an open operator: one diagonal block of a problem
+    that is block diagonal in the modes.  ``idx`` are the block's mode
+    indices in the basis, ascending, and ``onsite`` the on-site sub-blocks
+    on them.  The hopping, the lead self-energies and the screw gauge are
+    diagonal, so they restrict to the sector by the same indices."""
+
+    idx: np.ndarray
+    modes: np.ndarray  # the angular momenta l at idx
+    onsite: np.ndarray  # (n_slices, n_modes, n_modes) of the sector
+    z_nodes: np.ndarray
+    dz: float
+    screw: Optional[ScrewRun]
+
+    @property
+    def hop(self) -> float:
+        return -1.0 / self.dz**2
+
+    @property
+    def n_slices(self) -> int:
+        return self.onsite.shape[0]
+
+    @property
+    def n_modes(self) -> int:
+        return self.idx.size
+
+
+def _sector(op: CoupledChannelOperator, idx) -> _Sector:
+    """The sector view of ``op`` on the mode indices idx."""
+    idx = np.asarray(idx)
+    onsite = op.onsite[:, idx[:, None], idx]
+    return _Sector(idx, op.basis.modes[idx], onsite, op.z_nodes, op.dz, op.screw)
+
+
+def _sectors(op: CoupledChannelOperator) -> list:
+    """The sector views of ``op``, in the order of their first mode: the
+    connected components of the union of its on-site blocks' nonzero
+    patterns.  The helical profile couples l only to l +- m_d, so its
+    sectors are the classes of l mod m_d; a homogeneous one has sectors of
+    one mode each."""
+    reach = np.any(op.onsite != 0.0, axis=0) | np.eye(op.n_modes, dtype=bool)
+    while True:  # transitive closure by squaring: log2(n_modes) steps at most
+        wider = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    firsts = np.unique(np.argmax(reach, axis=1))
+    return [_sector(op, np.flatnonzero(reach[first])) for first in firsts]
+
+
+def _attach_screw_run(s: _Sector, c: _Corners, e_eye, stats: Counter) -> _Corners:
+    """Extend the left-connected corners c of sector s over its screw run:
+    join the dressed powers of the screw cell onto them in the screw gauge,
+    then rotate the run's last slice back to the lab frame and remove its
+    dressing i gamma (see the module docstring)."""
+    run, modes, b = s.screw, s.modes, -s.hop
     gamma = _DRESSING * b
-    w_first = run.gauge(modes, op.z_nodes[run.start])
-    w_last = run.gauge(modes, op.z_nodes[run.stop - 1])
-    cell = w_first.conj()[:, None] * op.onsite[run.start] * w_first
-    t_screw = b * run.gauge(modes, op.dz)
+    w_first = run.gauge(modes, s.z_nodes[run.start])
+    w_last = run.gauge(modes, s.z_nodes[run.stop - 1])
+    cell = w_first.conj()[:, None] * s.onsite[run.start] * w_first
+    t_screw = b * run.gauge(modes, s.dz)
     y = _inv(e_eye - cell + 2j * gamma * np.eye(modes.size), "screw cell", stats)
     power = _Corners(y, y, y, y)
     t, gamma_a = b * w_first, 0.0  # lab-frame slice before the run to its first
@@ -314,21 +376,22 @@ def _attach_screw_run(
     )
 
 
-def _corner_recursion(op, e1, sigma, open_idx, stats: Counter):
-    """Yield the corners of the device Green's function for energies e1 (n_e,),
-    given sigma (n_e, n_modes), after every explicit slice j: G_11 (open rows
-    and columns), G_1j (open rows), G_j1 (open columns) and G_jj = g_j, where
-    the open channels are open_idx.
+def _corner_recursion(s: _Sector, e1, sigma, open_idx, stats: Counter):
+    """Yield the corners of sector s's Green's function for energies e1
+    (n_e,), given its sigma (n_e, s.n_modes), after every explicit slice j:
+    G_11 (open rows and columns), G_1j (open rows), G_j1 (open columns) and
+    G_jj = g_j, where the open channels are open_idx, indices into the
+    sector.
 
     One batched inversion per slice, from the left lead as the state before
     slice 0: sigma/b^2 as G_jj, G_11 = 0 and -1/b as G_1j and G_j1 on the open
-    channels.  The screw run of ``op`` (if any) folds onto the corners in one
+    channels.  The screw run of ``s`` (if any) folds onto the corners in one
     step with no yield.  The run never holds the last slice, which carries
     the right lead's sigma, so the last yield is the whole device's corners.
     """
-    n_sl, n = op.n_slices, op.n_modes
-    run = op.screw
-    b = -op.hop
+    n_sl, n = s.n_slices, s.n_modes
+    run = s.screw
+    b = -s.hop
     idx = np.arange(n)
     e_eye = e1[:, None, None] * np.eye(n)
     lead = -np.eye(n)[:, open_idx] / b
@@ -337,9 +400,9 @@ def _corner_recursion(op, e1, sigma, open_idx, stats: Counter):
     for j in range(n_sl):
         if run is not None and run.start <= j < run.stop:
             if j == run.start:
-                c = _attach_screw_run(op, c, e_eye, stats)
+                c = _attach_screw_run(s, c, e_eye, stats)
             continue
-        d = e_eye - op.onsite[j]
+        d = e_eye - s.onsite[j]
         d -= b**2 * c.gnn
         if j == n_sl - 1:
             d[:, idx, idx] -= sigma
@@ -367,30 +430,43 @@ def _boundary_blocks(bloch, velocity, corners: _Corners, dz: float):
     return flux * t, flux * r, flux * t_reverse, flux * r_reverse
 
 
-def _solve(op: CoupledChannelOperator, leads: LeadModeSet, stats: Counter):
+def _solve(sectors, leads: LeadModeSet, stats: Counter):
     """Flux-normalized blocks (t, r, t_reverse, r_reverse), each (n_e, n_open,
-    n_open), of a stack of lead modes that share their open channels.  Raises
-    NumericalError for the whole block if it is singular or a self-energy fails."""
-    sigma = lead_self_energy(leads, op.dz)
-    open_idx = np.flatnonzero(leads.open_mask[0])
+    n_open), of a stack of lead modes that share their open channels, solved
+    one sector view at a time.  A sector without an open channel is skipped;
+    the others fill the rows and columns of their open channels, so every
+    cross-sector entry is exactly 0.  Raises NumericalError for the whole
+    block if it is singular or a self-energy fails."""
+    sigma = lead_self_energy(leads, leads.dz)
+    is_open = leads.open_mask[0]
+    open_idx = np.flatnonzero(is_open)
     # contiguous, so that block sums add in the same order at any stack size
     bloch = np.ascontiguousarray(leads.bloch[:, open_idx])
     velocity = np.ascontiguousarray(leads.velocity[:, open_idx])
-    corners = _Corners(*[np.zeros((bloch.shape[0], 0, 0), dtype=complex)] * 4)
-    if open_idx.size:
-        for c in _corner_recursion(op, leads.e1, sigma, open_idx, stats):
+    shape = bloch.shape + (open_idx.size,)
+    corners = _Corners(*(np.zeros(shape, dtype=complex) for _ in range(4)))
+    for s in sectors:
+        opened = np.flatnonzero(is_open[s.idx])  # open channels, sector indices
+        if opened.size == 0:
+            continue
+        for c in _corner_recursion(s, leads.e1, sigma[:, s.idx], opened, stats):
             pass
-        g_nn = c.gnn[:, open_idx][:, :, open_idx]
-        corners = _Corners(c.g11, c.g1n[:, :, open_idx], c.gn1[:, open_idx], g_nn)
-    return _boundary_blocks(bloch, velocity, corners, op.dz)
+        at = np.searchsorted(open_idx, s.idx[opened])  # their open-block indices
+        block = (slice(None), at[:, None], at)
+        corners.g11[block] = c.g11
+        corners.g1n[block] = c.g1n[:, :, opened]
+        corners.gn1[block] = c.gn1[:, opened]
+        corners.gnn[block] = c.gnn[:, opened[:, None], opened]
+    return _boundary_blocks(bloch, velocity, corners, leads.dz)
 
 
 def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
     """S-matrix at energy e1 via the explicit recursive Green's function
-    sweep over every slice, with no screw-run fold: the reference for the
-    folded sweep."""
+    sweep over every slice, with no screw-run fold and no split into
+    sectors: the reference for the folded, split sweep."""
     leads, flags = _leads(op, [e1])
-    blocks = [b[0] for b in _solve(replace(op, screw=None), leads, Counter())]
+    whole = _sector(replace(op, screw=None), np.arange(op.n_modes))
+    blocks = [b[0] for b in _solve([whole], leads, Counter())]
     return SMatrix(float(e1), leads.modes[leads.open_mask[0]], *blocks, bool(flags[0]))
 
 
@@ -451,30 +527,34 @@ def _scattering_state(
     op: CoupledChannelOperator, leads: LeadModeSet, mode: int, side: str
 ) -> np.ndarray:
     """psi (n_slices, n_modes) on every slice for unit-amplitude injection in
-    channel index ``mode`` from the lead on ``side`` (one energy).  The forward
-    pass is :func:`_corner_recursion` with no fold and ``mode`` as the one open
-    column; its yield after slice j gives g_j and the incident column of G_j1,
-    and its last yield includes the right lead.  The left-connected response
-    is x_j = amp G_j1 for a source amp on slice 0, and x_j = 0 before the last
-    slice for a source there.  Back-substitution then gives psi_{N-1} = x_{N-1}
-    and psi_j = x_j - b g_j psi_{j+1}."""
-    n_sl, n = op.n_slices, op.n_modes
-    b = -op.hop
-    sigma = lead_self_energy(leads, op.dz)
+    channel index ``mode`` from the lead on ``side`` (one energy).  psi is
+    exactly 0 outside the sector of ``mode``, so only that sector is solved.
+    The forward pass is :func:`_corner_recursion` with no fold and ``mode`` as
+    the one open column; its yield after slice j gives g_j and the incident
+    column of G_j1, and its last yield includes the right lead.  The
+    left-connected response is x_j = amp G_j1 for a source amp on slice 0, and
+    x_j = 0 before the last slice for a source there.  Back-substitution then
+    gives psi_{N-1} = x_{N-1} and psi_j = x_j - b g_j psi_{j+1}."""
+    s = next(s for s in _sectors(replace(op, screw=None)) if mode in s.idx)
+    n_sl, n = s.n_slices, s.n_modes
+    b = -s.hop
+    col = np.searchsorted(s.idx, [mode])  # the incident channel in the sector
+    sigma = lead_self_energy(leads, op.dz)[s.idx]
     amp = _injection_amplitudes(leads.bloch[mode], leads.velocity[mode], op.dz)
     g = np.empty((n_sl, n, n), dtype=complex)
     x = np.zeros((n_sl, n), dtype=complex)
-    e1, flat = np.array([leads.e1]), replace(op, screw=None)
-    forward = _corner_recursion(flat, e1, sigma[None], np.array([mode]), Counter())
-    for j, c in enumerate(forward):
+    e1 = np.array([leads.e1])
+    for j, c in enumerate(_corner_recursion(s, e1, sigma[None], col, Counter())):
         g[j] = c.gnn[0]
         if side == "left":
             x[j] = amp * c.gn1[0, :, 0]
     if side == "right":
-        x[-1] = amp * g[-1, :, mode]
+        x[-1] = amp * g[-1, :, col[0]]
     for j in range(n_sl - 2, -1, -1):
         x[j] -= b * (g[j] @ x[j + 1])
-    return x
+    psi = np.zeros((n_sl, op.n_modes), dtype=complex)
+    psi[:, s.idx] = x
+    return psi
 
 
 def scattering_density(
@@ -561,6 +641,7 @@ def energy_sweep(
     n_e = energies.size
     n_rec = 2 * record_l + 1
     leads, flags = _leads(op, energies)
+    sectors = _sectors(op)
     stacks: dict = {}  # open-channel indices -> grid indices, in grid order
     for i, mask in enumerate(leads.open_mask):
         stacks.setdefault(tuple(np.flatnonzero(mask)), []).append(i)
@@ -578,7 +659,7 @@ def energy_sweep(
         while queue:
             idx = queue.pop()
             try:
-                solved.append((idx, _solve(op, leads.rows(idx), counts)))
+                solved.append((idx, _solve(sectors, leads.rows(idx), counts)))
             except NumericalError as exc:
                 if len(idx) > 1:
                     counts["fallback_points"] += len(idx)
@@ -635,6 +716,7 @@ def energy_sweep(
             "n_modes": int(op.n_modes),
             "folded_slices": op.screw.stop - op.screw.start if op.screw else 0,
             "stacks": len(stacks),
+            "sectors": [s.n_modes for s in sectors],
             "inversions": int(stats["inversions"]),
             "fallback_points": int(stats["fallback_points"]),
         },

@@ -452,9 +452,13 @@ def test_cmd_sweep_summary_reports_solver(tmp_path):
     assert solver["stacks"] == 2  # one and three open channels
     # abrupt window: the screw run is every slice but the two lead slices
     assert solver["folded_slices"] == solver["n_slices"] - 2 == 158
-    # per energy block: 2 explicit slices, the unit cell, floor(log2 158) = 7
-    # squarings, popcount(158) - 1 = 4 joins, the attach and the undress
-    assert solver["inversions"] == solver["stacks"] * (2 + 1 + 7 + 4 + 1 + 1)
+    # m_d = 2: the even and the odd modes of l_max 6
+    assert solver["sectors"] == [7, 6]
+    # per energy block and sector with an open channel: 2 explicit slices, the
+    # unit cell, floor(log2 158) = 7 squarings, popcount(158) - 1 = 4 joins,
+    # the attach and the undress; l = 0 open takes the even sector alone,
+    # l = -1, 0, 1 open take both
+    assert solver["inversions"] == (1 + 2) * (2 + 1 + 7 + 4 + 1 + 1)
     assert summary["diagnostics"]["max_reciprocity_residual"] <= 1e-9
     header, data = read_csv(tmp_path / "run_sweep.csv")
     assert header[-3:] == ["unitarity_residual", "reciprocity_residual", "threshold_flag"]
@@ -665,15 +669,17 @@ def test_cmd_sweep_below_band_bottom_names_e1_max(tmp_path, capsys):
 
 def test_cmd_density_factorisation_failure_exits_2(tmp_path, capsys, monkeypatch):
     # an exactly singular slice-0 block, forged as in the transport tests:
-    # dz = 2^-5 makes the forged entry round-trip exactly
+    # dz = 2^-5 makes the forged entry round-trip exactly, and it sits in the
+    # incident channel, the one sector the density solves
     cfg = paper_config()
     cfg.profile.kind = "homogeneous"
     cfg.numerics.length = 2.0
     cfg.numerics.dz = 2**-5
     path = write_config(tmp_path, cfg)
     setup = cfgmod.resolve(cfg)
+    op = cfgmod.build_operator(setup)
     forged = forged_self_energy(
-        cfgmod.build_operator(setup), 2.0 + setup.band_bottom, "singular_block"
+        op, 2.0 + setup.band_bottom, "singular_block", channel=op.basis.index(0)
     )
     monkeypatch.setattr(transport, "lead_self_energy", forged)
     argv = ["density", "--config", str(path), "--out", str(tmp_path)]
@@ -781,6 +787,20 @@ def test_cmd_selftest_fault_injection(monkeypatch, capsys):
         dense = selftest.check_dense_equivalence()
     rgf, sweep = map(float, re.findall(r"= ([^,\s]+)", dense.detail))
     assert not dense.passed and rgf <= 1e-10 < sweep  # rgf_smatrix never folds
+
+
+def test_selftest_split_check_fails_on_sectors_too_fine(monkeypatch):
+    # sectors of one mode each drop the couplings within a class of l mod m_d:
+    # the split sweep leaves the whole rgf_smatrix, whose transmission
+    # between those would-be sectors is far from 0
+    def one_mode_each(op):
+        return [transport._sector(op, [i]) for i in range(op.n_modes)]
+
+    monkeypatch.setattr(transport, "_sectors", one_mode_each)
+    result = selftest.check_sweep_fold()
+    gap, across = map(float, re.findall(r"= ([^,;\s]+)", result.detail))
+    assert not result.passed and gap > 1e-10 and across > 1e-13
+    assert "sectors of [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1] modes" in result.detail
 
 
 def test_missing_config_is_validation_error():

@@ -178,3 +178,28 @@ def test_broadcast_table_is_outer_major(tmp_path):
     assert path.read_bytes() == reference_csv(["a", "b", "c"], rows)
     for got, want in zip(parse_back(path), rows, strict=True):
         assert all(same_float(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(5,), (5,), (5,)],  # a 1-D table: one value per row
+        [(1, 4), (3, 1), (3, 4)],  # a grid: inner axis, outer axis, values
+        [(3, 4), (1, 4), (1, 1)],  # a full table beside a row and a scalar
+        [(3, 1), (3, 1), (1, 1)],  # one inner column, one scalar
+    ],
+    ids=["1d", "grid", "full-row-scalar", "column-scalar"],
+)
+def test_each_column_formats_like_per_value_formatting(tmp_path, shapes):
+    # every column broadcast to the table, then each value with "%.17g" %
+    rng = np.random.default_rng(5)
+    pool = np.array(EDGE_VALUES + list(rng.standard_normal(40)))
+    columns = [rng.choice(pool, size=shape) for shape in shapes]
+    path = tmp_path / "table.csv"
+    header = [f"c{k}" for k in range(len(columns))]
+    cli._write_csv(path, header, columns)
+    table = [c[:, None] if c.ndim == 1 else c for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in table))
+    flat = [np.broadcast_to(c, shape).ravel() for c in table]
+    rows = [["%.17g" % v for v in row] for row in zip(*flat)]
+    assert path.read_bytes() == reference_csv(header, rows)

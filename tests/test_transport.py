@@ -180,7 +180,7 @@ def test_smallest_devices_match_dense_inversion(kind, n_slices):
     folded = o.screw.stop - o.screw.start if o.screw else 0
     assert folded == (n_slices - 2 if kind == "helical" and n_slices >= 4 else 0)
     for e1 in energies:
-        blocks = tr._solve(o, o.lead_mode_set([e1]), Counter())
+        blocks = tr._solve(tr._sectors(o), o.lead_mode_set([e1]), Counter())
         for block, dense in zip(blocks, dense_smatrix(o, e1)):
             np.testing.assert_allclose(block[0], dense, rtol=0, atol=1e-12)
 
@@ -342,11 +342,11 @@ def test_density_closed_channel_raises_before_the_device_solve(monkeypatch):
 
 def test_density_factorisation_failure_raises_numerical_error(monkeypatch):
     # an exactly singular slice-0 block fails the density solve the way it
-    # fails rgf_smatrix; dz = 2^-5 makes the forged entry round-trip exactly
+    # fails rgf_smatrix; dz = 2^-5 makes the forged entry round-trip exactly,
+    # and it sits in the incident channel, the one sector the density solves
     o = homogeneous_operator(dz=2**-5, length=2.0)
-    monkeypatch.setattr(
-        tr, "lead_self_energy", forged_self_energy(o, 2.0, "singular_block")
-    )
+    forged = forged_self_energy(o, 2.0, "singular_block", channel=o.basis.index(1))
+    monkeypatch.setattr(tr, "lead_self_energy", forged)
     with pytest.raises(NumericalError, match="slice 0 inversion failed"):
         tr.scattering_density(o, 2.0, l_incident=1)
 
@@ -374,6 +374,23 @@ def test_density_matches_direct_solve_on_every_slice(monkeypatch):
             d = tr.scattering_density(o, e1, o.basis.modes[col], n_theta, side)
             ref = psi[:, :, offset + k] @ phases
             assert np.max(np.abs(d.psi - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("l_incident", [0, 1])
+def test_density_solves_the_incident_sector_alone(monkeypatch, l_incident, side):
+    # psi is exactly 0 outside the incident mode's sector (l of the other
+    # parity, m_d = 2), and inside it agrees with one solve over all modes
+    o = helical_operator(lead_pad_pitches=1.0)
+    leads, _ = tr._leads(o, 1.7 + VG)
+    mode = o.basis.index(l_incident)
+    psi = tr._scattering_state(o, leads, mode, side)
+    inside = (o.basis.modes - l_incident) % 2 == 0
+    assert np.all(psi[:, ~inside] == 0.0)
+    # the reference treats all modes as one sector, as rgf_smatrix does
+    monkeypatch.setattr(tr, "_sectors", lambda o: [tr._sector(o, np.arange(o.n_modes))])
+    ref = tr._scattering_state(o, leads, mode, side)
+    assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_density_mode_contrast_and_ditch_correlation():
@@ -451,6 +468,65 @@ def test_each_solve_evaluates_lead_modes_once(monkeypatch):
         calls.clear()
         solve()
         assert len(calls) == 1, name
+
+
+def test_sectors_are_the_classes_of_l_mod_m_d():
+    # the helical profile couples l only to l +- m_d (m_d = 2): even and odd l
+    o = helical_operator(l_max=6)
+    sectors = tr._sectors(o)
+    assert [s.modes.tolist() for s in sectors] == [
+        list(range(-6, 7, 2)), list(range(-5, 6, 2))
+    ]
+    for s in sectors:
+        np.testing.assert_array_equal(s.onsite, o.onsite[:, s.idx[:, None], s.idx])
+        assert s.screw == o.screw
+    assert [s.n_modes for s in tr._sectors(homogeneous_operator(l_max=3))] == [1] * 7
+
+
+def test_custom_profile_sectors_come_from_the_coupling_pattern():
+    # no declared harmonic: the third harmonic alone splits l by l mod 3,
+    # and the split sweep matches the whole reference
+    prof = cf.custom_profile(lambda t, z: 1.0 - 0.05 * (1.0 + np.cos(3 * t + z)), 0.1)
+    assert prof.theta_harmonic is None
+    basis = op.ChannelBasis(l_max=4, radius=1.0)
+    o = op.assemble_coupled_channel(prof, WELL, basis, length=2.0, dz=0.04)
+    assert [s.modes.tolist() for s in tr._sectors(o)] == [
+        [-4, -1, 2], [-3, 0, 3], [-2, 1, 4]
+    ]
+    energies = np.array([0.6, 1.7, 4.6, 9.5]) + VG
+    curve = tr.energy_sweep(o, energies)
+    assert curve.solver["sectors"] == [3, 3, 3]
+    ref = [tr.conductance(tr.rgf_smatrix(o, e1))[0] for e1 in energies]
+    np.testing.assert_allclose(curve.sigma_total, ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "taper_pitches, lead_pad_pitches", [(1.0, 0.0), (1.0, 1.0), (0.5, 2.0)]
+)
+def test_split_sweep_matches_whole_reference(taper_pitches, lead_pad_pitches):
+    # kappa = 0.5 windows with a taper and lead padding: the sweep solves the
+    # even and odd sectors apart and folds each one's screw run; rgf_smatrix
+    # recurses over every slice on all modes at once
+    o = helical_operator(
+        pitches=4.0, taper_pitches=taper_pitches, lead_pad_pitches=lead_pad_pitches
+    )
+    assert o.screw is not None
+    energies = np.array([0.4, 1.3, 2.2, 3.1, 4.3]) + VG
+    curve = tr.energy_sweep(o, energies, record_l=2)
+    assert curve.failures == [] and curve.solver["sectors"] == [7, 6]
+    assert list(curve.n_open) == [1, 3, 3, 3, 5]
+    for i, e1 in enumerate(energies):
+        split = tr._solve(tr._sectors(o), o.lead_mode_set([e1]), Counter())
+        whole = tr.rgf_smatrix(o, e1)
+        for name, block in zip(("t", "r", "t_reverse", "r_reverse"), split):
+            np.testing.assert_allclose(
+                block[0], getattr(whole, name), rtol=0, atol=1e-10, err_msg=name
+            )
+    # sigma_{l', l} between the sectors (l' - l odd) is exactly 0
+    rec = curve.recorded_modes
+    across = (rec[:, None] - rec[None, :]) % 2 == 1
+    assert np.all(curve.sigma_modes[:, across] == 0.0)
+    assert np.all(curve.sigma_modes[-1, ~across] > 0.0)
 
 
 def test_staircase_homogeneous():
@@ -566,7 +642,8 @@ def test_sweep_columns_match_per_point_mapping(record_l):
     assert list(curve.n_open) == [0, 1, 1, 3, 3, 5, 5]
     assert list(curve.threshold_flags) == [False, False, True] + [False] * 4
     for i, (leads, flag) in enumerate(points):
-        blocks = [b[0] for b in tr._solve(o, o.lead_mode_set([energies[i]]), Counter())]
+        leads_i = o.lead_mode_set([energies[i]])
+        blocks = [b[0] for b in tr._solve(tr._sectors(o), leads_i, Counter())]
         s = tr.SMatrix(energies[i], leads.open_modes, *blocks, bool(flag))
         for name, ref in per_point_columns(s, 1, record_l).items():
             np.testing.assert_allclose(
@@ -689,7 +766,7 @@ def test_fold_exact_at_eigenvalues_of_the_isolated_run():
     eigs = eigs[(eigs > VG + 0.05) & (eigs < VG + 4.4)]
     assert eigs.size >= 3
     for e1 in eigs:
-        folded = tr._solve(o, o.lead_mode_set([e1]), Counter())
+        folded = tr._solve(tr._sectors(o), o.lead_mode_set([e1]), Counter())
         explicit = tr.rgf_smatrix(o, e1)
         for name, block in zip(("t", "r", "t_reverse", "r_reverse"), folded):
             np.testing.assert_allclose(
@@ -697,10 +774,10 @@ def test_fold_exact_at_eigenvalues_of_the_isolated_run():
             )
 
 
-def _forged_entry(o, e1):
-    """The slice-0 entry e1 - onsite of the first channel, as the complex
-    value that _corner_recursion reads back as b^2 (Sigma / b^2)."""
-    return np.complex128(e1 - o.onsite[0][0, 0])
+def _forged_entry(o, e1, channel=0):
+    """The slice-0 entry e1 - onsite of a channel, as the complex value that
+    _corner_recursion reads back as b^2 (Sigma / b^2)."""
+    return np.complex128(e1 - o.onsite[0][channel, channel])
 
 
 def round_trip_energy(o, e1):
@@ -712,14 +789,18 @@ def round_trip_energy(o, e1):
     return e1
 
 
-def forged_self_energy(o, bad_e1, fault):
+def forged_self_energy(o, bad_e1, fault, channel=0):
     """lead_self_energy with a fault at the energy bad_e1 of a stack: it
     raises, or it makes the first slice block exactly singular there by
-    cancelling the first channel's entry (the first on-site block of ``o``
-    must be diagonal, as with lead padding or a homogeneous profile)."""
+    cancelling the entry of ``channel``, the first one by default (the first
+    on-site block of ``o`` must be diagonal, as with lead padding or a
+    homogeneous profile).  A solve meets the singular block only in the
+    sector that holds ``channel``."""
     # a forged value that does not round-trip leaves a nearly singular block
     # that inverts without error
-    assert fault == "self_energy" or round_trip_energy(o, bad_e1) == bad_e1
+    b2 = o.hop**2
+    entry = _forged_entry(o, bad_e1, channel)
+    assert fault == "self_energy" or b2 * (entry / b2) == entry
     real_self_energy = tr.lead_self_energy
 
     def faulty_self_energy(leads, dz):
@@ -727,7 +808,7 @@ def forged_self_energy(o, bad_e1, fault):
         bad = np.asarray(leads.e1) == bad_e1
         if np.any(bad) and fault == "self_energy":
             raise NumericalError("forged self-energy failure")
-        sigma[bad, 0] = _forged_entry(o, bad_e1)
+        sigma[bad, channel] = entry
         return sigma
 
     return faulty_self_energy
@@ -760,11 +841,11 @@ def test_sweep_point_failure_is_isolated(monkeypatch, fault, workers):
 
 @pytest.mark.parametrize("fault", ["singular_block", "self_energy"])
 def test_singular_block_falls_back_alone(monkeypatch, fault):
-    # one stack of 40 energies with three open channels: blocks of 32 and 8;
-    # a forged fault at one point (a singular block, or a raised self-energy)
-    # re-solves its own block only
+    # one stack of 8 more energies than a block holds, with three open
+    # channels: two blocks form; a forged fault at one point (a singular
+    # block, or a raised self-energy) re-solves its own block only
     o = helical_operator(pitches=4.0, l_max=4, lead_pad_pitches=0.5)
-    energies = np.linspace(1.1, 3.9, 40) + VG
+    energies = np.linspace(1.1, 3.9, tr._ENERGY_BLOCK + 8) + VG
     bad = 5
     energies[bad] = round_trip_energy(o, energies[bad])
     clean = tr.energy_sweep(o, energies)
@@ -773,7 +854,7 @@ def test_singular_block_falls_back_alone(monkeypatch, fault):
     monkeypatch.setattr(tr, "lead_self_energy", faulty_self_energy)
     curve = tr.energy_sweep(o, energies)
     assert [f["index"] for f in curve.failures] == [bad]
-    assert curve.solver["fallback_points"] == tr._ENERGY_BLOCK == 32
+    assert curve.solver["fallback_points"] == tr._ENERGY_BLOCK == 128
     ok = np.arange(energies.size) != bad
     for name in ("sigma_total", "sigma_modes", "p_lz", "unitarity", "flux_error"):
         np.testing.assert_array_equal(
