@@ -333,6 +333,10 @@ def main(argv=None) -> int:
     except (ConfigError, ProfileError, ResolutionError, ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a grid too large to allocate
+        message = "the run asked for more memory than could be allocated"
+        print(f"validation error: {message} ({exc})", file=sys.stderr)
+        return 1
     except QsurfError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

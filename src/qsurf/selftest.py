@@ -252,8 +252,8 @@ def check_sweep_fold() -> CheckResult:
     energies = float(np.min(op.lead_offsets)) + np.array([0.35, 0.9, 1.7, 2.6, 3.4])
     curve = transport.energy_sweep(op, energies)
     sector_of = np.empty(op.n_modes, dtype=int)
-    for k, sector in enumerate(transport._sectors(op)):
-        sector_of[sector.idx] = k
+    for k, idx in enumerate(transport._sectors(op)):
+        sector_of[idx] = k
     ref, across = [], 0.0
     for e in energies:
         s = transport.rgf_smatrix(op, e)

@@ -18,9 +18,11 @@ the one ThresholdProximityWarning that names the flagged energies:
   gauge are diagonal, so the open problem is block diagonal in l mod m_d.
   :func:`_sectors` takes these blocks from the nonzero pattern of the on-site
   blocks, not from the profile, so custom profiles split too and a
-  homogeneous one splits into single modes.  Sweeps and density maps solve
-  each sector on its own (:class:`_Sector`, the sector view of the operator),
-  and every S-matrix entry between sectors is exactly 0;
+  homogeneous one splits into single modes.  A sector is the operator plus
+  the ascending index array of its modes: the solvers slice the on-site
+  blocks, sigma and the open mask with it.  Sweeps and density maps solve
+  each sector on its own, and every S-matrix entry between sectors is
+  exactly 0;
 * the S-matrix only needs the corner blocks G_11, G_N1, G_1N, G_NN of the
   retarded Green's function, restricted to the open channels
   (:class:`_Corners`).  A forward-only recursive Green's function (RGF)
@@ -107,7 +109,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,7 +119,7 @@ from .errors import (
     ThresholdProximityWarning,
     UndefinedPolarizationError,
 )
-from .operator import CoupledChannelOperator, LeadModeSet, ScrewRun
+from .operator import CoupledChannelOperator, LeadModeSet
 
 THRESHOLD_ATOL = 1e-9
 _DRESSING = 0.03  # i gamma on the end slices of folded segments, gamma in 1/dz^2
@@ -294,47 +296,12 @@ def _join(
     )
 
 
-@dataclass(frozen=True)
-class _Sector:
-    """The sector view of an open operator: one diagonal block of a problem
-    that is block diagonal in the modes.  ``idx`` are the block's mode
-    indices in the basis, ascending, and ``onsite`` the on-site sub-blocks
-    on them.  The hopping, the lead self-energies and the screw gauge are
-    diagonal, so they restrict to the sector by the same indices."""
-
-    idx: np.ndarray
-    modes: np.ndarray  # the angular momenta l at idx
-    onsite: np.ndarray  # (n_slices, n_modes, n_modes) of the sector
-    z_nodes: np.ndarray
-    dz: float
-    screw: Optional[ScrewRun]
-
-    @property
-    def hop(self) -> float:
-        return -1.0 / self.dz**2
-
-    @property
-    def n_slices(self) -> int:
-        return self.onsite.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return self.idx.size
-
-
-def _sector(op: CoupledChannelOperator, idx) -> _Sector:
-    """The sector view of ``op`` on the mode indices idx."""
-    idx = np.asarray(idx)
-    onsite = op.onsite[:, idx[:, None], idx]
-    return _Sector(idx, op.basis.modes[idx], onsite, op.z_nodes, op.dz, op.screw)
-
-
 def _sectors(op: CoupledChannelOperator) -> list:
-    """The sector views of ``op``, in the order of their first mode: the
-    connected components of the union of its on-site blocks' nonzero
-    patterns.  The helical profile couples l only to l +- m_d, so its
-    sectors are the classes of l mod m_d; a homogeneous one has sectors of
-    one mode each."""
+    """The sectors of ``op``, each an ascending array of mode indices, in the
+    order of their first mode: the connected components of the union of its
+    on-site blocks' nonzero patterns.  The helical profile couples l only to
+    l +- m_d, so its sectors are the classes of l mod m_d; a homogeneous one
+    has sectors of one mode each."""
     reach = np.any(op.onsite != 0.0, axis=0) | np.eye(op.n_modes, dtype=bool)
     while True:  # transitive closure by squaring: log2(n_modes) steps at most
         wider = (reach.astype(int) @ reach.astype(int)) > 0
@@ -342,20 +309,22 @@ def _sectors(op: CoupledChannelOperator) -> list:
             break
         reach = wider
     firsts = np.unique(np.argmax(reach, axis=1))
-    return [_sector(op, np.flatnonzero(reach[first])) for first in firsts]
+    return [np.flatnonzero(reach[first]) for first in firsts]
 
 
-def _attach_screw_run(s: _Sector, c: _Corners, e_eye, stats: Counter) -> _Corners:
-    """Extend the left-connected corners c of sector s over its screw run:
-    join the dressed powers of the screw cell onto them in the screw gauge,
-    then rotate the run's last slice back to the lab frame and remove its
-    dressing i gamma (see the module docstring)."""
-    run, modes, b = s.screw, s.modes, -s.hop
+def _attach_screw_run(
+    op: CoupledChannelOperator, idx, c: _Corners, e_eye, stats: Counter
+) -> _Corners:
+    """Extend the left-connected corners c of the sector idx of ``op`` over
+    its screw run: join the dressed powers of the screw cell onto them in the
+    screw gauge, then rotate the run's last slice back to the lab frame and
+    remove its dressing i gamma (see the module docstring)."""
+    run, modes, b = op.screw, op.basis.modes[idx], -op.hop
     gamma = _DRESSING * b
-    w_first = run.gauge(modes, s.z_nodes[run.start])
-    w_last = run.gauge(modes, s.z_nodes[run.stop - 1])
-    cell = w_first.conj()[:, None] * s.onsite[run.start] * w_first
-    t_screw = b * run.gauge(modes, s.dz)
+    w_first = run.gauge(modes, op.z_nodes[run.start])
+    w_last = run.gauge(modes, op.z_nodes[run.stop - 1])
+    cell = w_first.conj()[:, None] * op.onsite[run.start, idx[:, None], idx] * w_first
+    t_screw = b * run.gauge(modes, op.dz)
     y = _inv(e_eye - cell + 2j * gamma * np.eye(modes.size), "screw cell", stats)
     power = _Corners(y, y, y, y)
     t, gamma_a = b * w_first, 0.0  # lab-frame slice before the run to its first
@@ -376,23 +345,26 @@ def _attach_screw_run(s: _Sector, c: _Corners, e_eye, stats: Counter) -> _Corner
     )
 
 
-def _corner_recursion(s: _Sector, e1, sigma, open_idx, stats: Counter):
-    """Yield the corners of sector s's Green's function for energies e1
-    (n_e,), given its sigma (n_e, s.n_modes), after every explicit slice j:
-    G_11 (open rows and columns), G_1j (open rows), G_j1 (open columns) and
-    G_jj = g_j, where the open channels are open_idx, indices into the
-    sector.
+def _corner_recursion(
+    op: CoupledChannelOperator, idx, e1, sigma, open_idx, stats: Counter
+):
+    """Yield the corners of the Green's function of the sector idx of ``op``
+    for energies e1 (n_e,), given its sigma (n_e, idx.size), after every
+    explicit slice j: G_11 (open rows and columns), G_1j (open rows), G_j1
+    (open columns) and G_jj = g_j, where the open channels are open_idx,
+    indices into the sector.
 
     One batched inversion per slice, from the left lead as the state before
     slice 0: sigma/b^2 as G_jj, G_11 = 0 and -1/b as G_1j and G_j1 on the open
-    channels.  The screw run of ``s`` (if any) folds onto the corners in one
+    channels.  The screw run of ``op`` (if any) folds onto the corners in one
     step with no yield.  The run never holds the last slice, which carries
     the right lead's sigma, so the last yield is the whole device's corners.
     """
-    n_sl, n = s.n_slices, s.n_modes
-    run = s.screw
-    b = -s.hop
-    idx = np.arange(n)
+    onsite = op.onsite[:, idx[:, None], idx]
+    n_sl, n = op.n_slices, idx.size
+    run = op.screw
+    b = -op.hop
+    diag = np.arange(n)
     e_eye = e1[:, None, None] * np.eye(n)
     lead = -np.eye(n)[:, open_idx] / b
     g11 = np.zeros((e1.size, open_idx.size, open_idx.size))
@@ -400,12 +372,12 @@ def _corner_recursion(s: _Sector, e1, sigma, open_idx, stats: Counter):
     for j in range(n_sl):
         if run is not None and run.start <= j < run.stop:
             if j == run.start:
-                c = _attach_screw_run(s, c, e_eye, stats)
+                c = _attach_screw_run(op, idx, c, e_eye, stats)
             continue
-        d = e_eye - s.onsite[j]
+        d = e_eye - onsite[j]
         d -= b**2 * c.gnn
         if j == n_sl - 1:
-            d[:, idx, idx] -= sigma
+            d[:, diag, diag] -= sigma
         g = _inv(d, f"slice {j}", stats)
         h = -b * g
         gn1 = h @ c.gn1
@@ -430,13 +402,14 @@ def _boundary_blocks(bloch, velocity, corners: _Corners, dz: float):
     return flux * t, flux * r, flux * t_reverse, flux * r_reverse
 
 
-def _solve(sectors, leads: LeadModeSet, stats: Counter):
+def _solve(op: CoupledChannelOperator, sectors, leads: LeadModeSet, stats: Counter):
     """Flux-normalized blocks (t, r, t_reverse, r_reverse), each (n_e, n_open,
     n_open), of a stack of lead modes that share their open channels, solved
-    one sector view at a time.  A sector without an open channel is skipped;
-    the others fill the rows and columns of their open channels, so every
-    cross-sector entry is exactly 0.  Raises NumericalError for the whole
-    block if it is singular or a self-energy fails."""
+    one sector of ``op`` (an index array from :func:`_sectors`) at a time.
+    A sector without an open channel is skipped; the others fill the rows and
+    columns of their open channels, so every cross-sector entry is exactly 0.
+    Raises NumericalError for the whole block if it is singular or a
+    self-energy fails."""
     sigma = lead_self_energy(leads, leads.dz)
     is_open = leads.open_mask[0]
     open_idx = np.flatnonzero(is_open)
@@ -445,13 +418,13 @@ def _solve(sectors, leads: LeadModeSet, stats: Counter):
     velocity = np.ascontiguousarray(leads.velocity[:, open_idx])
     shape = bloch.shape + (open_idx.size,)
     corners = _Corners(*(np.zeros(shape, dtype=complex) for _ in range(4)))
-    for s in sectors:
-        opened = np.flatnonzero(is_open[s.idx])  # open channels, sector indices
+    for idx in sectors:
+        opened = np.flatnonzero(is_open[idx])  # open channels, sector indices
         if opened.size == 0:
             continue
-        for c in _corner_recursion(s, leads.e1, sigma[:, s.idx], opened, stats):
+        for c in _corner_recursion(op, idx, leads.e1, sigma[:, idx], opened, stats):
             pass
-        at = np.searchsorted(open_idx, s.idx[opened])  # their open-block indices
+        at = np.searchsorted(open_idx, idx[opened])  # their open-block indices
         block = (slice(None), at[:, None], at)
         corners.g11[block] = c.g11
         corners.g1n[block] = c.g1n[:, :, opened]
@@ -465,8 +438,8 @@ def rgf_smatrix(op: CoupledChannelOperator, e1: float) -> SMatrix:
     sweep over every slice, with no screw-run fold and no split into
     sectors: the reference for the folded, split sweep."""
     leads, flags = _leads(op, [e1])
-    whole = _sector(replace(op, screw=None), np.arange(op.n_modes))
-    blocks = [b[0] for b in _solve([whole], leads, Counter())]
+    whole = [np.arange(op.n_modes)]
+    blocks = [b[0] for b in _solve(replace(op, screw=None), whole, leads, Counter())]
     return SMatrix(float(e1), leads.modes[leads.open_mask[0]], *blocks, bool(flags[0]))
 
 
@@ -535,16 +508,17 @@ def _scattering_state(
     left-connected response is x_j = amp G_j1 for a source amp on slice 0, and
     x_j = 0 before the last slice for a source there.  Back-substitution then
     gives psi_{N-1} = x_{N-1} and psi_j = x_j - b g_j psi_{j+1}."""
-    s = next(s for s in _sectors(replace(op, screw=None)) if mode in s.idx)
-    n_sl, n = s.n_slices, s.n_modes
-    b = -s.hop
-    col = np.searchsorted(s.idx, [mode])  # the incident channel in the sector
-    sigma = lead_self_energy(leads, op.dz)[s.idx]
+    op = replace(op, screw=None)
+    idx = next(idx for idx in _sectors(op) if mode in idx)
+    n_sl, n = op.n_slices, idx.size
+    b = -op.hop
+    col = np.searchsorted(idx, [mode])  # the incident channel in the sector
+    sigma = lead_self_energy(leads, op.dz)[idx]
     amp = _injection_amplitudes(leads.bloch[mode], leads.velocity[mode], op.dz)
     g = np.empty((n_sl, n, n), dtype=complex)
     x = np.zeros((n_sl, n), dtype=complex)
     e1 = np.array([leads.e1])
-    for j, c in enumerate(_corner_recursion(s, e1, sigma[None], col, Counter())):
+    for j, c in enumerate(_corner_recursion(op, idx, e1, sigma[None], col, Counter())):
         g[j] = c.gnn[0]
         if side == "left":
             x[j] = amp * c.gn1[0, :, 0]
@@ -553,7 +527,7 @@ def _scattering_state(
     for j in range(n_sl - 2, -1, -1):
         x[j] -= b * (g[j] @ x[j + 1])
     psi = np.zeros((n_sl, op.n_modes), dtype=complex)
-    psi[:, s.idx] = x
+    psi[:, idx] = x
     return psi
 
 
@@ -659,7 +633,7 @@ def energy_sweep(
         while queue:
             idx = queue.pop()
             try:
-                solved.append((idx, _solve(sectors, leads.rows(idx), counts)))
+                solved.append((idx, _solve(op, sectors, leads.rows(idx), counts)))
             except NumericalError as exc:
                 if len(idx) > 1:
                     counts["fallback_points"] += len(idx)
@@ -716,7 +690,7 @@ def energy_sweep(
             "n_modes": int(op.n_modes),
             "folded_slices": op.screw.stop - op.screw.start if op.screw else 0,
             "stacks": len(stacks),
-            "sectors": [s.n_modes for s in sectors],
+            "sectors": [idx.size for idx in sectors],
             "inversions": int(stats["inversions"]),
             "fallback_points": int(stats["fallback_points"]),
         },

@@ -794,7 +794,7 @@ def test_selftest_split_check_fails_on_sectors_too_fine(monkeypatch):
     # the split sweep leaves the whole rgf_smatrix, whose transmission
     # between those would-be sectors is far from 0
     def one_mode_each(op):
-        return [transport._sector(op, [i]) for i in range(op.n_modes)]
+        return [np.array([i]) for i in range(op.n_modes)]
 
     monkeypatch.setattr(transport, "_sectors", one_mode_each)
     result = selftest.check_sweep_fold()
@@ -822,6 +822,28 @@ def test_usage_error_is_validation_error(capsys, argv):
     # argparse's own exit code 2 would read as a numerical failure
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("validation error: qsurf")
+
+
+@pytest.mark.parametrize("command", ["sweep", "density"])
+def test_cmd_memory_error_is_validation_error(tmp_path, capsys, monkeypatch, command):
+    # sweep.n_points or --n-theta of 10000000000000 asks numpy for 72.8 TiB;
+    # the solvers raise MemoryError here instead, since whether the OS
+    # refuses such a request at once depends on its overcommit setting
+    numpy_message = "Unable to allocate 72.8 TiB for an array"
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(numpy_message)
+
+    monkeypatch.setattr(transport, "energy_sweep", too_large)
+    monkeypatch.setattr(transport, "scattering_density", too_large)
+    path = write_config(tmp_path, paper_config())
+    argv = [command, "--config", str(path), "--out", str(tmp_path)]
+    if command == "density":
+        argv += ["--e1", "2.2", "--mode", "1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: the run asked for more memory")
+    assert numpy_message in err and err.count("\n") == 1
 
 
 def test_help_exits_0(capsys):

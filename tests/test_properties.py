@@ -68,7 +68,7 @@ def test_fold_matches_explicit_recursion(window, e_rel):
     assume(off_threshold(e_rel))
     o = window_operator(**window)
     e1 = e_rel + VG
-    folded = tr._solve(tr._sectors(o), o.lead_mode_set([e1]), Counter())
+    folded = tr._solve(o, tr._sectors(o), o.lead_mode_set([e1]), Counter())
     explicit = tr.rgf_smatrix(o, e1)
     for name, block in zip(("t", "r", "t_reverse", "r_reverse"), folded):
         np.testing.assert_allclose(

@@ -180,7 +180,7 @@ def test_smallest_devices_match_dense_inversion(kind, n_slices):
     folded = o.screw.stop - o.screw.start if o.screw else 0
     assert folded == (n_slices - 2 if kind == "helical" and n_slices >= 4 else 0)
     for e1 in energies:
-        blocks = tr._solve(tr._sectors(o), o.lead_mode_set([e1]), Counter())
+        blocks = tr._solve(o, tr._sectors(o), o.lead_mode_set([e1]), Counter())
         for block, dense in zip(blocks, dense_smatrix(o, e1)):
             np.testing.assert_allclose(block[0], dense, rtol=0, atol=1e-12)
 
@@ -388,7 +388,7 @@ def test_density_solves_the_incident_sector_alone(monkeypatch, l_incident, side)
     inside = (o.basis.modes - l_incident) % 2 == 0
     assert np.all(psi[:, ~inside] == 0.0)
     # the reference treats all modes as one sector, as rgf_smatrix does
-    monkeypatch.setattr(tr, "_sectors", lambda o: [tr._sector(o, np.arange(o.n_modes))])
+    monkeypatch.setattr(tr, "_sectors", lambda o: [np.arange(o.n_modes)])
     ref = tr._scattering_state(o, leads, mode, side)
     assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -473,14 +473,25 @@ def test_each_solve_evaluates_lead_modes_once(monkeypatch):
 def test_sectors_are_the_classes_of_l_mod_m_d():
     # the helical profile couples l only to l +- m_d (m_d = 2): even and odd l
     o = helical_operator(l_max=6)
-    sectors = tr._sectors(o)
-    assert [s.modes.tolist() for s in sectors] == [
+    assert [o.basis.modes[idx].tolist() for idx in tr._sectors(o)] == [
         list(range(-6, 7, 2)), list(range(-5, 6, 2))
     ]
-    for s in sectors:
-        np.testing.assert_array_equal(s.onsite, o.onsite[:, s.idx[:, None], s.idx])
-        assert s.screw == o.screw
-    assert [s.n_modes for s in tr._sectors(homogeneous_operator(l_max=3))] == [1] * 7
+    assert [idx.size for idx in tr._sectors(homogeneous_operator(l_max=3))] == [1] * 7
+    # one ditch (m_d = 1) couples every l: the split is a no-op, and the
+    # split, folded sweep still matches the whole reference
+    prof = cf.helical_profile(0.1, 8.0, 0.5, radius=1.0, ditch_count=1)
+    pitch = prof.z_period
+    basis = op.ChannelBasis(l_max=6, radius=1.0)
+    o = op.assemble_coupled_channel(
+        prof, WELL, basis, length=4.0 * pitch, dz=0.04, taper=pitch
+    )
+    assert [idx.tolist() for idx in tr._sectors(o)] == [list(range(13))]
+    assert o.screw is not None
+    energies = np.array([0.4, 1.3, 2.2, 3.1, 4.3]) + VG
+    curve = tr.energy_sweep(o, energies)
+    assert curve.solver["sectors"] == [13]
+    ref = [tr.conductance(tr.rgf_smatrix(o, e1))[0] for e1 in energies]
+    np.testing.assert_allclose(curve.sigma_total, ref, rtol=0, atol=1e-10)
 
 
 def test_custom_profile_sectors_come_from_the_coupling_pattern():
@@ -490,7 +501,7 @@ def test_custom_profile_sectors_come_from_the_coupling_pattern():
     assert prof.theta_harmonic is None
     basis = op.ChannelBasis(l_max=4, radius=1.0)
     o = op.assemble_coupled_channel(prof, WELL, basis, length=2.0, dz=0.04)
-    assert [s.modes.tolist() for s in tr._sectors(o)] == [
+    assert [o.basis.modes[idx].tolist() for idx in tr._sectors(o)] == [
         [-4, -1, 2], [-3, 0, 3], [-2, 1, 4]
     ]
     energies = np.array([0.6, 1.7, 4.6, 9.5]) + VG
@@ -516,7 +527,7 @@ def test_split_sweep_matches_whole_reference(taper_pitches, lead_pad_pitches):
     assert curve.failures == [] and curve.solver["sectors"] == [7, 6]
     assert list(curve.n_open) == [1, 3, 3, 3, 5]
     for i, e1 in enumerate(energies):
-        split = tr._solve(tr._sectors(o), o.lead_mode_set([e1]), Counter())
+        split = tr._solve(o, tr._sectors(o), o.lead_mode_set([e1]), Counter())
         whole = tr.rgf_smatrix(o, e1)
         for name, block in zip(("t", "r", "t_reverse", "r_reverse"), split):
             np.testing.assert_allclose(
@@ -643,7 +654,7 @@ def test_sweep_columns_match_per_point_mapping(record_l):
     assert list(curve.threshold_flags) == [False, False, True] + [False] * 4
     for i, (leads, flag) in enumerate(points):
         leads_i = o.lead_mode_set([energies[i]])
-        blocks = [b[0] for b in tr._solve(tr._sectors(o), leads_i, Counter())]
+        blocks = [b[0] for b in tr._solve(o, tr._sectors(o), leads_i, Counter())]
         s = tr.SMatrix(energies[i], leads.open_modes, *blocks, bool(flag))
         for name, ref in per_point_columns(s, 1, record_l).items():
             np.testing.assert_allclose(
@@ -766,7 +777,7 @@ def test_fold_exact_at_eigenvalues_of_the_isolated_run():
     eigs = eigs[(eigs > VG + 0.05) & (eigs < VG + 4.4)]
     assert eigs.size >= 3
     for e1 in eigs:
-        folded = tr._solve(tr._sectors(o), o.lead_mode_set([e1]), Counter())
+        folded = tr._solve(o, tr._sectors(o), o.lead_mode_set([e1]), Counter())
         explicit = tr.rgf_smatrix(o, e1)
         for name, block in zip(("t", "r", "t_reverse", "r_reverse"), folded):
             np.testing.assert_allclose(
