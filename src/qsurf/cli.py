@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -192,7 +193,7 @@ def cmd_sweep(args) -> int:
         "conventions": {
             "units": "lengths in a, energies in e0 = hbar^2/(2 m a^2)",
             "sigma_index_order": "sigma[l_incident, l_outgoing] (incident first)",
-            "include_vg": setup.include_vg,
+            "include_vg": setup.basis.include_vg,
             "energy_reference": cfg.sweep.reference,
             "band_bottom_absolute": setup.band_bottom,
             "sigma0": "e^2/h, spinless",
@@ -236,7 +237,7 @@ def cmd_density(args) -> int:
     if cfg.numerics.lead_pad is None:
         # default for density maps: keep two pitches of clean lead in view
         cfg.numerics.lead_pad = 2.0 * (setup.profile.z_period or setup.length / 4.0)
-        setup = cfgmod.resolve(cfg)
+        setup = replace(setup, lead_pad=cfg.numerics.lead_pad)
     clock.lap("resolve")
     op = cfgmod.build_operator(setup)
     clock.lap("operator")
@@ -245,7 +246,7 @@ def cmd_density(args) -> int:
     try:
         dmap = transport.scattering_density(op, e1, args.mode, n_theta=args.n_theta)
     except ClosedChannelError as exc:
-        threshold = op.basis.threshold(args.mode, op.include_vg) - shift
+        threshold = op.basis.threshold(args.mode) - shift
         raise ConfigError(
             f"--mode {args.mode} is closed at --e1 {args.e1:g}: its threshold is "
             f"{threshold:g} (sweep.reference = {cfg.sweep.reference})"

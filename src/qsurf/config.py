@@ -9,7 +9,8 @@ it does not (cylinder radius r = 1a, tilt kappa = 1, two ditch lines m_d = 2).
 ``resolve`` validates every section and turns the config into ready-to-use
 physics objects plus fully determined numerical parameters.  One default is
 set downstream: ``qsurf density`` sets an unset ``numerics.lead_pad`` to two
-helix pitches (half the window for a homogeneous profile) and resolves again.
+helix pitches (half the window for a homogeneous profile) in the config and
+copies it into the setup it resolved.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import ge, gt, le
 from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -255,7 +256,6 @@ class ResolvedSetup:
     dz: float
     taper: float
     lead_pad: float
-    include_vg: bool
     band_bottom: float  # lead l=0 threshold in absolute E1
     energies: np.ndarray  # absolute E1 grid
     thresholds_relative: np.ndarray
@@ -310,7 +310,8 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
         raise ConfigError(f"profile: {message}") from exc
 
     num = cfg.numerics
-    band_bottom = operator.ChannelBasis(0, radius).threshold(0, num.include_vg)
+    basis = operator.ChannelBasis(0, radius, include_vg=num.include_vg)
+    band_bottom = basis.threshold(0)
 
     sw = cfg.sweep
     if sw.e1_max <= sw.e1_min:
@@ -342,7 +343,7 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
         l_max = l_open_max + 2
     else:
         l_max = max(m_d + 4, l_open_max + m_d + 2)
-    basis = operator.ChannelBasis(l_max=l_max, radius=radius)
+    basis = replace(basis, l_max=l_max)
 
     if num.length is not None:
         length = float(num.length)
@@ -355,9 +356,7 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
         dz = float(num.dz)
     else:
         try:
-            dz = operator.required_dz(
-                e1_max_abs, basis, profile, well, include_vg=num.include_vg
-            )
+            dz = operator.required_dz(e1_max_abs, basis, profile, well)
         except ResolutionError as exc:
             raise ConfigError(
                 f"sweep.e1_max = {sw.e1_max:g} is at or below the band bottom and "
@@ -383,7 +382,7 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
             f"{num.grid_n1} x {num.grid_n2} = {num.grid_n1 * num.grid_n2} grid points"
         )
 
-    thresholds_rel = np.unique(basis.threshold(basis.modes, include_vg=False))
+    thresholds_rel = np.unique(replace(basis, include_vg=False).threshold(basis.modes))
     energies = band_bottom + transport.sweep_energies(
         sw.e1_min + shift - band_bottom,
         sw.e1_max + shift - band_bottom,
@@ -400,7 +399,6 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
         dz=dz,
         taper=taper,
         lead_pad=lead_pad,
-        include_vg=num.include_vg,
         band_bottom=band_bottom,
         energies=energies,
         thresholds_relative=thresholds_rel,
@@ -423,7 +421,6 @@ def build_operator(setup: ResolvedSetup):
             dz=setup.dz,
             lead_pad=setup.lead_pad,
             taper=setup.taper,
-            include_vg=setup.include_vg,
             e1_max=setup.e1_max_absolute,
         )
     except (ResolutionError, ValueError) as exc:

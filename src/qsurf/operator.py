@@ -38,10 +38,12 @@ MIN_POINTS_PER_PITCH = 20
 
 @dataclass(frozen=True)
 class ChannelBasis:
-    """Angular-momentum channel set l = -l_max..l_max on a cylinder."""
+    """Angular-momentum channel set l = -l_max..l_max on a cylinder, and
+    whether its channel thresholds include the curvature potential V_g."""
 
     l_max: int
     radius: float = 1.0
+    include_vg: bool = True
 
     def __post_init__(self):
         if self.l_max < 0:
@@ -67,9 +69,9 @@ class ChannelBasis:
         """Constant curvature potential of the cylinder, -1/(4 r^2)."""
         return -1.0 / (4.0 * self.radius**2)
 
-    def threshold(self, l, include_vg: bool):
+    def threshold(self, l):
         """Threshold l^2/r^2 + V_g of channel(s) l (V_g only with include_vg)."""
-        vg = self.geometric_potential if include_vg else 0.0
+        vg = self.geometric_potential if self.include_vg else 0.0
         return (l / self.radius) ** 2 + vg
 
 
@@ -80,8 +82,8 @@ class LeadModeSet:
     Per channel l: longitudinal momentum ``k`` (complex; imaginary part for
     evanescent channels), Bloch factor ``e^{i k dz}``, lattice group velocity
     ``v = (2/dz) sin(k dz)`` (zero for evanescent channels) and openness.
-    A channel is open iff E1 > E_l + V_g (strict; ties count as evanescent),
-    with E_l = l^2/r^2 and V_g included according to ``include_vg``.
+    A channel is open iff E1 > ``offsets`` = E_l + V_g (strict; ties count as
+    evanescent), with E_l = l^2/r^2 and V_g as the basis's ``include_vg`` says.
 
     For a scalar ``e1`` these fields have shape (n_modes,).  For a 1-D array
     of energies ``e1`` is that array, and ``k``, ``bloch``, ``velocity`` and
@@ -96,7 +98,6 @@ class LeadModeSet:
     bloch: np.ndarray
     velocity: np.ndarray
     open_mask: np.ndarray
-    include_vg: bool
 
     @property
     def n_open(self):
@@ -114,11 +115,10 @@ class LeadModeSet:
         return replace(self, **{name: getattr(self, name)[idx] for name in stacked})
 
 
-def lead_modes(
-    e1, basis: ChannelBasis, dz: float, include_vg: bool = True
-) -> LeadModeSet:
+def lead_modes(e1, basis: ChannelBasis, dz: float) -> LeadModeSet:
     """Exact eigenmodes of the discrete clean lead at energy e1, a scalar or a
-    1-D array of energies (see :class:`LeadModeSet` for the energy axis).
+    1-D array of energies (see :class:`LeadModeSet` for the energy axis), above
+    the channel thresholds ``basis.threshold(basis.modes)``.
 
     The lattice dispersion E = offset + (2/dz^2)(1 - cos k dz) is inverted for
     all channels at once with x = cos(k dz): |x| < 1 is open; x >= 1 (ties
@@ -128,7 +128,7 @@ def lead_modes(
     """
     e1 = np.asarray(e1, dtype=float)
     modes = basis.modes
-    offsets = basis.threshold(modes, include_vg)
+    offsets = basis.threshold(modes)
     x = 1.0 - (e1[..., None] - offsets) * dz**2 / 2.0
 
     open_mask = np.abs(x) < 1.0
@@ -154,7 +154,6 @@ def lead_modes(
         bloch=bloch,
         velocity=velocity,
         open_mask=open_mask,
-        include_vg=include_vg,
     )
 
 
@@ -236,20 +235,19 @@ class CoupledChannelOperator:
     """Block-tridiagonal effective Hamiltonian on the cylinder.
 
     Slices sit at ``z_nodes``; on-site blocks contain the kinetic constant
-    2/dz^2, the channel offsets l^2/r^2 (+ V_g), and the Fourier couplings of
-    (s-1) E0 inside the scattering window.  Hopping blocks are hop * identity
-    with hop = -1/dz^2.  Slices outside the window (lead padding) are diagonal
-    and z-independent, matching the semi-infinite leads, whose on-site
-    diagonal is 2/dz^2 + lead_offsets.  ``screw`` is the screw run of a
-    helical window (None when there is none).
+    2/dz^2, the channel thresholds ``basis.threshold(basis.modes)`` (l^2/r^2,
+    plus V_g if the basis includes it), and the Fourier couplings of (s-1) E0
+    inside the scattering window.  Hopping blocks are hop * identity with
+    hop = -1/dz^2.  Slices outside the window (lead padding) are diagonal and
+    z-independent, matching the semi-infinite leads, whose on-site diagonal is
+    2/dz^2 plus those thresholds.  ``screw`` is the screw run of a helical
+    window (None when there is none).
     """
 
     basis: ChannelBasis
     dz: float
     z_nodes: np.ndarray
     onsite: np.ndarray  # (n_slices, n_modes, n_modes) complex
-    lead_offsets: np.ndarray  # (n_modes,)
-    include_vg: bool
     window: tuple[float, float]
     n_pad: int
     style: str  # "open" (transport) or "closed" (Dirichlet segment)
@@ -268,7 +266,7 @@ class CoupledChannelOperator:
         return self.basis.n_modes
 
     def lead_mode_set(self, e1) -> LeadModeSet:
-        return lead_modes(e1, self.basis, self.dz, include_vg=self.include_vg)
+        return lead_modes(e1, self.basis, self.dz)
 
     def sparse(self) -> sp.csr_matrix:
         """The operator as one CSR matrix with Dirichlet ends: the on-site
@@ -331,18 +329,18 @@ def required_dz(
     basis: ChannelBasis,
     profile: Optional[ConfinementProfile] = None,
     well: Optional[TransverseWell] = None,
-    include_vg: bool = True,
 ) -> float:
     """Largest slice spacing satisfying the resolution rules.
 
-    k_max dz <= 0.2 with k_max from the deepest point of the device (lead
-    band bottom lowered by the attractive well depth epsilon*E0), and at
-    least 20 slices per helix pitch when the potential oscillates in z.
+    k_max dz <= 0.2 with k_max from the deepest point of the device (the lead
+    band bottom ``basis.threshold(0)`` lowered by the attractive well depth
+    epsilon*E0), and at least 20 slices per helix pitch when the potential
+    oscillates in z.
     """
     depth = 0.0
     if profile is not None and profile.kind != "homogeneous" and well is not None:
         depth = profile.epsilon * transverse_ground_energy(well)
-    k2 = e1_max - basis.threshold(0, include_vg) + depth
+    k2 = e1_max - basis.threshold(0) + depth
     dz = MAX_K_DZ / math.sqrt(k2) if k2 > 0.0 else math.inf
     if profile is not None and profile.z_period is not None:
         dz = min(dz, profile.z_period / MIN_POINTS_PER_PITCH)
@@ -360,7 +358,6 @@ def assemble_coupled_channel(
     n_z: Optional[int] = None,
     lead_pad: float = 0.0,
     taper: float = 0.0,
-    include_vg: bool = True,
     e1_max: Optional[float] = None,
     closed: bool = False,
 ) -> CoupledChannelOperator:
@@ -390,25 +387,24 @@ def assemble_coupled_channel(
         if n_z is None:
             n_z = max(int(math.ceil(length / dz)) - 1, 1)
         h = length / (n_z + 1)
-        _validate_dz(h, profile, e1_max, basis, well, include_vg)
+        _validate_dz(h, profile, e1_max, basis)
         z_nodes = length * np.arange(1, n_z + 1) / (n_z + 1)
         n_pad = 0
     else:
         if n_z is None:
             n_z = max(int(math.ceil(length / dz)), 1)
         h = length / n_z
-        _validate_dz(h, profile, e1_max, basis, well, include_vg)
+        _validate_dz(h, profile, e1_max, basis)
         n_pad = int(round(lead_pad / h)) if lead_pad > 0.0 else 0
         total = n_z + 2 * n_pad
         z_nodes = (np.arange(total) + 0.5) * h - n_pad * h
 
     n = basis.n_modes
-    lead_offsets = basis.threshold(basis.modes, include_vg)
     kinetic = 2.0 / h**2
 
     onsite = np.zeros((z_nodes.size, n, n), dtype=complex)
     idx = np.arange(n)
-    onsite[:, idx, idx] = kinetic + lead_offsets[None, :]
+    onsite[:, idx, idx] = kinetic + basis.threshold(basis.modes)[None, :]
 
     screw = None
     if profile.kind != "homogeneous":
@@ -428,8 +424,6 @@ def assemble_coupled_channel(
         dz=float(h),
         z_nodes=z_nodes,
         onsite=onsite,
-        lead_offsets=lead_offsets,
-        include_vg=include_vg,
         window=(0.0, float(length)),
         n_pad=n_pad,
         style="closed" if closed else "open",
@@ -437,9 +431,9 @@ def assemble_coupled_channel(
     )
 
 
-def _validate_dz(dz, profile, e1_max, basis, well, include_vg):
+def _validate_dz(dz, profile, e1_max, basis):
     if e1_max is not None:
-        k2 = e1_max - basis.threshold(0, include_vg)
+        k2 = e1_max - basis.threshold(0)
         if k2 > 0.0:
             k_max = math.sqrt(k2)
             if k_max * dz > MAX_K_DZ * (1.0 + 1e-12):

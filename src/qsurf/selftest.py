@@ -63,7 +63,7 @@ def dense_smatrix(op: operator.CoupledChannelOperator, e1: float):
     nn = n_sl * n
 
     m = e1 * np.eye(nn) - op.sparse().toarray()
-    sigma = transport.lead_self_energy(leads, op.dz)
+    sigma = transport.lead_self_energy(leads)
     m[:n, :n] -= np.diag(sigma)
     m[-n:, -n:] -= np.diag(sigma)
 
@@ -97,10 +97,8 @@ def barrier_operator(
     s0 = 1.0 + v_barrier / e0
     profile = confinement.constant_profile(s0)
     well = confinement.TransverseWell(e0=e0)
-    basis = operator.ChannelBasis(l_max=0, radius=1.0)
-    return operator.assemble_coupled_channel(
-        profile, well, basis, length=length, dz=dz, include_vg=False
-    )
+    basis = operator.ChannelBasis(l_max=0, radius=1.0, include_vg=False)
+    return operator.assemble_coupled_channel(profile, well, basis, length=length, dz=dz)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +205,9 @@ def check_unitarity() -> CheckResult:
         op = operator.assemble_coupled_channel(
             profile, well, basis, length=3.0, dz=min(0.04, pitch / 20)
         )
-        offsets = np.unique(op.lead_offsets)
+        offsets = np.unique(basis.threshold(basis.modes))
         while True:
-            e1 = float(rng.uniform(0.05, 4.0)) + float(np.min(offsets))
+            e1 = float(rng.uniform(0.05, 4.0)) + basis.threshold(0)
             if np.min(np.abs(e1 - offsets)) > 1e-3:
                 break
         s = transport.rgf_smatrix(op, e1)
@@ -249,7 +247,7 @@ def check_sweep_fold() -> CheckResult:
     )
     if op.screw is None:
         return CheckResult("sweep_fold_equivalence", False, "no screw run recorded")
-    energies = float(np.min(op.lead_offsets)) + np.array([0.35, 0.9, 1.7, 2.6, 3.4])
+    energies = op.basis.threshold(0) + np.array([0.35, 0.9, 1.7, 2.6, 3.4])
     curve = transport.energy_sweep(op, energies)
     sector_of = np.empty(op.n_modes, dtype=int)
     for k, idx in enumerate(transport._sectors(op)):

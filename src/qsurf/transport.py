@@ -128,12 +128,13 @@ _DRESSING = 0.03  # i gamma on the end slices of folded segments, gamma in 1/dz^
 _ENERGY_BLOCK = 128
 
 
-def lead_self_energy(leads: LeadModeSet, dz: float) -> np.ndarray:
+def lead_self_energy(leads: LeadModeSet) -> np.ndarray:
     """Diagonal retarded self-energy of a clean semi-infinite lead.
 
-    Sigma_l = -(1/dz^2) e^{i k_l dz}: negative imaginary part on open
-    channels, real decaying branch on evanescent ones.
+    Sigma_l = -(1/dz^2) e^{i k_l dz}, dz = leads.dz: negative imaginary part
+    on open channels, real decaying branch on evanescent ones.
     """
+    dz = leads.dz
     if np.any(np.abs(leads.bloch) > 1.0 + 1e-12):
         raise NumericalError(
             "growing lead branch selected (|e^{ik dz}| > 1); "
@@ -410,7 +411,7 @@ def _solve(op: CoupledChannelOperator, sectors, leads: LeadModeSet, stats: Count
     columns of their open channels, so every cross-sector entry is exactly 0.
     Raises NumericalError for the whole block if it is singular or a
     self-energy fails."""
-    sigma = lead_self_energy(leads, leads.dz)
+    sigma = lead_self_energy(leads)
     is_open = leads.open_mask[0]
     open_idx = np.flatnonzero(is_open)
     # contiguous, so that block sums add in the same order at any stack size
@@ -513,7 +514,7 @@ def _scattering_state(
     n_sl, n = op.n_slices, idx.size
     b = -op.hop
     col = np.searchsorted(idx, [mode])  # the incident channel in the sector
-    sigma = lead_self_energy(leads, op.dz)[idx]
+    sigma = lead_self_energy(leads)[idx]
     amp = _injection_amplitudes(leads.bloch[mode], leads.velocity[mode], op.dz)
     g = np.empty((n_sl, n, n), dtype=complex)
     x = np.zeros((n_sl, n), dtype=complex)
@@ -551,7 +552,7 @@ def scattering_density(
     # a closed mode is decided by the leads alone, before the device is solved
     hits = np.flatnonzero((op.basis.modes == l_incident) & leads.open_mask)
     if hits.size == 0:
-        offset = op.basis.threshold(l_incident, op.include_vg)
+        offset = op.basis.threshold(l_incident)
         raise ClosedChannelError(
             f"mode {l_incident} is closed at E1 = {e1:.6g} "
             f"(threshold {offset:.6g})"
@@ -675,10 +676,9 @@ def energy_sweep(
             columns["unitarity"][idx] = _unitarity(t, r, t_rev, r_rev)
             columns["reciprocity"][idx] = _reciprocity(t, t_rev)
             columns["flux_error"][idx] = _flux_error(t, r, t_rev, r_rev)
-    band_bottom = float(np.min(op.lead_offsets))
     return ConductanceCurve(
         energies=energies,
-        energies_relative=energies - band_bottom,
+        energies_relative=energies - op.basis.threshold(0),
         recorded_modes=np.arange(-record_l, record_l + 1),
         failures=[
             {"index": i, "e1": float(energies[i]), "error": error}

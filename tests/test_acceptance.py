@@ -115,7 +115,7 @@ def test_criterion_2_homogeneous_staircase():
     t0 = time.perf_counter()
     basis = op.ChannelBasis(l_max=4, radius=1.0)
     o = op.assemble_coupled_channel(
-        cf.homogeneous_profile(), WELL, basis, length=4.0, dz=0.09, include_vg=True
+        cf.homogeneous_profile(), WELL, basis, length=4.0, dz=0.09
     )
     e_rel = tr.sweep_energies(0.1, 4.5, 200, np.array([0.0, 1.0, 4.0]))
     curve = tr.energy_sweep(o, e_rel + VG)
@@ -135,7 +135,7 @@ def test_criterion_2_homogeneous_staircase():
 
 def _off_threshold_energy(o, rng):
     """A random E1 up to 4 e0 above the band bottom, 1e-3 off every threshold."""
-    offsets = np.unique(o.lead_offsets)
+    offsets = np.unique(o.basis.threshold(o.basis.modes))
     while True:
         cand = float(offsets.min() + rng.uniform(0.05, 4.0))
         if np.min(np.abs(cand - offsets)) > 1e-3:

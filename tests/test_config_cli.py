@@ -412,6 +412,33 @@ def test_cmd_sweep_csv_deterministic(tmp_path):
     assert (out1 / "run_sweep.csv").read_bytes() == (out2 / "run_sweep.csv").read_bytes()
 
 
+def test_cmd_sweep_include_vg_shifts_absolute_energies_only(tmp_path):
+    # V_g = -1/(4 r^2) is one constant on the cylinder: switching it off moves
+    # the band bottom and E1_raw by -V_g, and leaves the physics unchanged
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sweep": {"n_points": 40}}), encoding="utf-8")
+    runs = {}
+    for include_vg in (True, False):
+        out = tmp_path / str(include_vg)
+        argv = ["sweep", "--config", str(path), "--out", str(out)]
+        argv += ["--set", f"numerics.include_vg={json.dumps(include_vg)}"]
+        assert cli.main(argv) == 0
+        summary = json.loads((out / "run_sweep_summary.json").read_text())
+        assert summary["conventions"]["include_vg"] is include_vg
+        runs[include_vg] = (summary, *read_csv(out / "run_sweep.csv"))
+    (s_on, header, on), (s_off, _, off) = runs[True], runs[False]
+    assert s_on["conventions"]["band_bottom_absolute"] == -0.25
+    assert s_off["conventions"]["band_bottom_absolute"] == 0.0
+    # the sigma[in=..,out=..] names hold commas: take columns by position
+    assert header[:3] == ["E1_raw[e0]", "E1_rel[e0]", "sigma_total[sigma0]"]
+    assert header[-5:-3] == ["P_Lz", "n_open"] and header[-1] == "threshold_flag"
+    for i in (1, -4, -1):  # E1_rel, n_open, threshold_flag
+        np.testing.assert_array_equal(on[:, i], off[:, i])
+    np.testing.assert_array_equal(on[:, 0] - off[:, 0], -0.25)
+    sigma = slice(2, -5)  # sigma_total and every mode-resolved column
+    np.testing.assert_allclose(on[:, sigma], off[:, sigma], rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("override", ["numerics.workers=abc", "sweep.n_points=2.5"])
 def test_cmd_badly_typed_override_exits_1(tmp_path, capsys, override):
     path = write_config(tmp_path, paper_config())

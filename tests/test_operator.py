@@ -161,7 +161,7 @@ def test_lead_padding_slices_are_clean():
     offdiag = blocks.copy()
     offdiag[:, idx, idx] = 0.0
     assert np.all(offdiag == 0.0)
-    expected = 2.0 / o.dz**2 + o.lead_offsets
+    expected = 2.0 / o.dz**2 + basis.threshold(basis.modes)
     diag_lead = blocks[:, idx, idx].real
     np.testing.assert_allclose(diag_lead, np.broadcast_to(expected, diag_lead.shape), rtol=1e-13)
     assert np.all(blocks[:, idx, idx].imag == 0.0)
@@ -267,7 +267,7 @@ def test_given_dz_is_checked_at_the_lead_band_bottom():
     # unlike required_dz, the check leaves out the ditch depth epsilon*E0
     basis = op.ChannelBasis(l_max=2, radius=1.0)
     prof, e1_max, n_z = helical(), 8.0, 40
-    dz = 0.2 / np.sqrt(e1_max - basis.threshold(0, include_vg=True))
+    dz = 0.2 / np.sqrt(e1_max - basis.threshold(0))
     assert op.required_dz(e1_max, basis, prof, WELL) < dz / 1.3
     assert 1.01 * dz < prof.z_period / 20  # the pitch rule is not the one hit
     o = op.assemble_coupled_channel(
@@ -286,36 +286,36 @@ def test_given_dz_is_checked_at_the_lead_band_bottom():
 
 
 def test_lead_modes_low_energy_only_l0():
-    basis = op.ChannelBasis(l_max=2, radius=1.0)
-    leads = op.lead_modes(0.5, basis, dz=0.05, include_vg=False)
+    basis = op.ChannelBasis(l_max=2, radius=1.0, include_vg=False)
+    leads = op.lead_modes(0.5, basis, dz=0.05)
     assert list(leads.open_modes) == [0]
 
 
 def test_lead_modes_threshold_tie_is_evanescent():
-    basis = op.ChannelBasis(l_max=2, radius=1.0)
-    leads = op.lead_modes(1.0, basis, dz=0.05, include_vg=False)
+    basis = op.ChannelBasis(l_max=2, radius=1.0, include_vg=False)
+    leads = op.lead_modes(1.0, basis, dz=0.05)
     assert list(leads.open_modes) == [0]  # l = +-1 marginal, strict inequality
 
 
 def test_lead_modes_include_vg_shifts_thresholds():
-    basis = op.ChannelBasis(l_max=1, radius=1.0)
-    assert op.lead_modes(0.8, basis, 0.05, include_vg=False).n_open == 1
-    assert op.lead_modes(0.8, basis, 0.05, include_vg=True).n_open == 3
+    for include_vg, n_open in ((False, 1), (True, 3)):
+        basis = op.ChannelBasis(l_max=1, radius=1.0, include_vg=include_vg)
+        assert op.lead_modes(0.8, basis, 0.05).n_open == n_open
 
 
 def test_lattice_vs_continuum_dispersion():
-    basis = op.ChannelBasis(l_max=0, radius=1.0)
+    basis = op.ChannelBasis(l_max=0, radius=1.0, include_vg=False)
     for e1 in (0.5, 2.0, 4.0):
         dz = 0.2 / np.sqrt(e1)
-        leads = op.lead_modes(e1, basis, dz, include_vg=False)
+        leads = op.lead_modes(e1, basis, dz)
         k_lat = leads.k[0].real
         k_cont = np.sqrt(e1)
         assert abs(k_lat - k_cont) / k_cont < 0.005
 
 
 def test_lead_mode_branches():
-    basis = op.ChannelBasis(l_max=2, radius=1.0)
-    leads = op.lead_modes(2.0, basis, dz=0.05, include_vg=False)
+    basis = op.ChannelBasis(l_max=2, radius=1.0, include_vg=False)
+    leads = op.lead_modes(2.0, basis, dz=0.05)
     for i, l in enumerate(leads.modes):
         if leads.open_mask[i]:
             assert leads.velocity[i] > 0
@@ -343,13 +343,13 @@ def _scalar_lead_branches(x, dz):
 
 def test_lead_modes_match_scalar_formulas():
     for l_max, radius, dz in ((0, 1.0, 0.5), (3, 0.7, 0.05), (6, 1.0, 0.013)):
-        basis = op.ChannelBasis(l_max=l_max, radius=radius)
+        basis = op.ChannelBasis(l_max=l_max, radius=radius, include_vg=False)
         offsets = (basis.modes / radius) ** 2
         energies = np.concatenate(
             [np.linspace(-2.0, 60.0, 157), offsets, [4.0 / dz**2 + 3.0]]
         )
         for e1 in energies:
-            leads = op.lead_modes(float(e1), basis, dz, include_vg=False)
+            leads = op.lead_modes(float(e1), basis, dz)
             x = 1.0 - (e1 - offsets) * dz**2 / 2.0
             ref = [_scalar_lead_branches(float(xi), dz) for xi in x]
             np.testing.assert_allclose(leads.k, [r[0] for r in ref], rtol=1e-14, atol=0)
@@ -364,13 +364,13 @@ def test_lead_modes_match_scalar_formulas():
 def test_lead_modes_band_edges_exact():
     # dz = 0.5: x = cos(k dz) hits +1 at E1 = 1 for l = +-1 and -1 at E1 = 16
     # for l = 0; both ties are evanescent with |e^{ik dz}| = 1
-    basis = op.ChannelBasis(l_max=1, radius=1.0)
-    bottom = op.lead_modes(1.0, basis, 0.5, include_vg=False)
+    basis = op.ChannelBasis(l_max=1, radius=1.0, include_vg=False)
+    bottom = op.lead_modes(1.0, basis, 0.5)
     np.testing.assert_array_equal(bottom.open_mask, [False, True, False])
     np.testing.assert_array_equal(bottom.bloch[[0, 2]], [1.0, 1.0])
     np.testing.assert_array_equal(bottom.k[[0, 2]], [0.0, 0.0])
     np.testing.assert_array_equal(bottom.velocity[[0, 2]], [0.0, 0.0])
-    top = op.lead_modes(16.0, basis, 0.5, include_vg=False)
+    top = op.lead_modes(16.0, basis, 0.5)
     np.testing.assert_array_equal(top.open_mask, [True, False, True])
     assert top.bloch[1] == -1.0
     assert top.k[1] == np.pi / 0.5
@@ -382,20 +382,20 @@ def test_lead_modes_band_edges_exact():
 def test_lead_modes_stacked_match_per_energy(dz, include_vg):
     # the grid holds every channel threshold (x = cos(k dz) = 1) and every top
     # band edge (x = -1, hit exactly at dz = 0.5, as above)
-    basis = op.ChannelBasis(l_max=3, radius=1.0)
-    offsets = basis.threshold(basis.modes, include_vg)
+    basis = op.ChannelBasis(l_max=3, radius=1.0, include_vg=include_vg)
+    offsets = basis.threshold(basis.modes)
     energies = np.concatenate(
         [np.linspace(-1.0, 30.0, 41), offsets, offsets + 4.0 / dz**2, [1.0, 16.0]]
     )
     x = 1.0 - (energies[:, None] - offsets) * dz**2 / 2.0
     assert np.any(x == 1.0)
     assert np.any(x == -1.0) or dz != 0.5
-    stacked = op.lead_modes(energies, basis, dz, include_vg=include_vg)
+    stacked = op.lead_modes(energies, basis, dz)
     np.testing.assert_array_equal(stacked.e1, energies)
     for name in ("k", "bloch", "velocity", "open_mask"):
         assert getattr(stacked, name).shape == (energies.size, basis.n_modes), name
     for i, e1 in enumerate(energies):
-        one = op.lead_modes(e1, basis, dz, include_vg=include_vg)
+        one = op.lead_modes(e1, basis, dz)
         assert one.e1 == e1 and isinstance(one.e1, float)
         for name in ("k", "bloch", "velocity", "open_mask"):
             np.testing.assert_array_equal(

@@ -40,7 +40,7 @@ def helical_operator(
 ):
     prof = cf.helical_profile(eps, omega, kappa, radius=1.0, ditch_count=2)
     pitch = prof.z_period
-    basis = op.ChannelBasis(l_max=l_max, radius=1.0)
+    basis = op.ChannelBasis(l_max=l_max, radius=1.0, include_vg=include_vg)
     return op.assemble_coupled_channel(
         prof,
         WELL,
@@ -49,19 +49,13 @@ def helical_operator(
         dz=min(dz, pitch / 20),
         taper=taper_pitches * pitch,
         lead_pad=lead_pad_pitches * pitch,
-        include_vg=include_vg,
     )
 
 
 def homogeneous_operator(l_max=3, include_vg=False, length=3.0, dz=0.05):
-    basis = op.ChannelBasis(l_max=l_max, radius=1.0)
+    basis = op.ChannelBasis(l_max=l_max, radius=1.0, include_vg=include_vg)
     return op.assemble_coupled_channel(
-        cf.homogeneous_profile(),
-        WELL,
-        basis,
-        length=length,
-        dz=dz,
-        include_vg=include_vg,
+        cf.homogeneous_profile(), WELL, basis, length=length, dz=dz
     )
 
 
@@ -71,20 +65,20 @@ def homogeneous_operator(l_max=3, include_vg=False, length=3.0, dz=0.05):
 
 
 def test_self_energy_open_channel_retarded():
-    basis = op.ChannelBasis(l_max=0)
+    basis = op.ChannelBasis(l_max=0, include_vg=False)
     dz = 0.05
-    leads = op.lead_modes(2.0, basis, dz, include_vg=False)
-    sigma = tr.lead_self_energy(leads, dz)
+    leads = op.lead_modes(2.0, basis, dz)
+    sigma = tr.lead_self_energy(leads)
     k = leads.k[0].real
     assert sigma[0].imag == pytest.approx(-np.sin(k * dz) / dz**2, rel=1e-12)
     assert sigma[0].imag < 0
 
 
 def test_self_energy_far_evanescent_decaying():
-    basis = op.ChannelBasis(l_max=2)
+    basis = op.ChannelBasis(l_max=2, include_vg=False)
     dz = 0.05
-    leads = op.lead_modes(0.2, basis, dz, include_vg=False)
-    sigma = tr.lead_self_energy(leads, dz)
+    leads = op.lead_modes(0.2, basis, dz)
+    sigma = tr.lead_self_energy(leads)
     i2 = basis.index(2)  # far below threshold 4
     kap = leads.k[i2].imag
     assert abs(sigma[i2].imag) < 1e-15
@@ -96,8 +90,8 @@ def test_self_energy_satisfies_lead_fixed_point():
     dz = 0.07
     basis = op.ChannelBasis(l_max=2, radius=1.0)
     for e1 in (0.3, 1.7, 3.2):
-        leads = op.lead_modes(e1, basis, dz, include_vg=True)
-        sigma = tr.lead_self_energy(leads, dz)
+        leads = op.lead_modes(e1, basis, dz)
+        sigma = tr.lead_self_energy(leads)
         t_hop = -1.0 / dz**2
         for i in range(basis.n_modes):
             onsite = 2.0 / dz**2 + leads.offsets[i]
@@ -173,9 +167,9 @@ def test_smallest_devices_match_dense_inversion(kind, n_slices):
     else:
         prof = cf.helical_profile(0.1, 8.0, 0.5, radius=1.0, ditch_count=2)
         include_vg, energies = True, tuple(e + VG for e in (0.4, 1.3, 2.6, 4.2))
-    basis = op.ChannelBasis(l_max=3, radius=1.0)
+    basis = op.ChannelBasis(l_max=3, radius=1.0, include_vg=include_vg)
     o = op.assemble_coupled_channel(
-        prof, WELL, basis, length=0.05 * n_slices, n_z=n_slices, include_vg=include_vg
+        prof, WELL, basis, length=0.05 * n_slices, n_z=n_slices
     )
     folded = o.screw.stop - o.screw.start if o.screw else 0
     assert folded == (n_slices - 2 if kind == "helical" and n_slices >= 4 else 0)
@@ -674,7 +668,7 @@ def sparse_scattering_solution(o, leads):
     its first n_open columns are unit-amplitude injection from the left in
     the order of the open modes, the rest injection from the right.
     """
-    sigma = tr.lead_self_energy(leads, o.dz)
+    sigma = tr.lead_self_energy(leads)
     idx = np.flatnonzero(leads.open_mask)
     n_sl, n, k = o.n_slices, o.n_modes, idx.size
     diag = np.full(n_sl * n, leads.e1, dtype=complex)
@@ -814,8 +808,8 @@ def forged_self_energy(o, bad_e1, fault, channel=0):
     assert fault == "self_energy" or b2 * (entry / b2) == entry
     real_self_energy = tr.lead_self_energy
 
-    def faulty_self_energy(leads, dz):
-        sigma = real_self_energy(leads, dz)
+    def faulty_self_energy(leads):
+        sigma = real_self_energy(leads)
         bad = np.asarray(leads.e1) == bad_e1
         if np.any(bad) and fault == "self_energy":
             raise NumericalError("forged self-energy failure")
