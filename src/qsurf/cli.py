@@ -15,6 +15,7 @@ the incident-first index order sigma[l_incident -> l_outgoing].
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -60,7 +61,9 @@ def _write_csv(path: Path, header, columns) -> None:
 
     rows = map(",".join, zip(*map(cells, cols)))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{UNITS_NOTE}\n{','.join(header)}\n")
+        f.write(f"{UNITS_NOTE}\n")
+        # quotes the names that hold commas, such as sigma[in=+1,out=-1]
+        csv.writer(f, lineterminator="\n").writerow(header)
         for _ in range(n_outer):
             f.write("\n".join(islice(rows, n_inner)) + "\n")
 
@@ -140,9 +143,10 @@ def cmd_spectrum(args) -> int:
     h2d, grid = operator.assemble_2d(
         setup.chart, setup.profile, setup.well, n1=num.grid_n1, n2=num.grid_n2
     )
-    vals = operator.lowest_eigenvalues_2d(
-        h2d, num.spectrum_count, sigma=grid.v_min - 1.0
-    )
+    # a margin below the floor: on the bare cylinder the floor is the lowest
+    # eigenvalue itself, and a shift on an eigenvalue makes H - sigma singular
+    sigma = grid.floor - 1e-3 * max(1.0, abs(grid.floor))
+    vals = operator.lowest_eigenvalues_2d(h2d, num.spectrum_count, sigma=sigma)
     out = _outdir(args) / f"{cfg.output.prefix}_spectrum.csv"
     _write_csv(out, ["index", "E[e0]"], [np.arange(vals.size), vals])
     meta = {

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .confinement import ConfinementProfile, TransverseWell, add_morphology
 from .confinement import transverse_ground_energy
@@ -473,12 +474,19 @@ def closed_eigenvalues(op: CoupledChannelOperator, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Node layout of the 2D discretization (tensor grid, per-axis closure)."""
+    """Node layout of the 2D discretization (tensor grid, per-axis closure)
+    and two lower bounds of the spectrum of H.
+
+    ``v_min`` is the minimum of the effective potential on the nodes.
+    ``floor`` is the larger of ``v_min`` and the line relaxations of
+    :func:`assemble_2d`; on a non-orthogonal chart it is ``v_min`` itself.
+    """
 
     q1: np.ndarray
     q2: np.ndarray
     bc: tuple[str, str]
     v_min: float  # nodal potential minimum; spectral lower bound of H
+    floor: float  # tightest rigorous lower bound of the spectrum of H
 
 
 def _axis_nodes(lo: float, hi: float, n: int, closure: str):
@@ -517,6 +525,27 @@ def _differences(nodes: np.ndarray, h: float, lo: float, hi: float, closure: str
     return faces, d.tocsr()
 
 
+def _line_floor(d, w: np.ndarray, vm: np.ndarray, mass: np.ndarray) -> float:
+    """Lowest eigenvalue of M^{-1/2} (D^T W D + diag(V m)) M^{-1/2} on lines.
+
+    Row i of ``w`` holds the face weights of line i, and row i of ``vm`` and
+    ``mass`` its nodal V m and m; every line shares the (faces x nodes)
+    difference matrix ``d``, which has no wrap face.  Laid end to end, the
+    lines form one symmetric tridiagonal matrix with zero couplings between
+    lines, so a single bisection for its lowest eigenvalue bounds them all.
+    """
+    # D^T W D per line: the diagonal sums w d^2 over the faces, and the first
+    # superdiagonal sums w d_k d_{k+1}; a zero joins each line to the next
+    kin = (d.multiply(d).T @ w.T).T + vm
+    couple = (d[:, :-1].multiply(d[:, 1:]).T @ w.T).T
+    s = 1.0 / np.sqrt(mass)
+    diag = kin * (s * s)
+    off = np.zeros_like(diag)
+    off[:, :-1] = couple * (s[:, :-1] * s[:, 1:])
+    diag, off = diag.ravel(), off.ravel()[:-1]
+    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+
+
 def assemble_2d(
     chart: SurfaceChart,
     profile: Optional[ConfinementProfile] = None,
@@ -538,6 +567,17 @@ def assemble_2d(
     (no wall rows).  V = V_g + (s-1) E0; one curvature call at the nodes
     gives both m and V_g.  The generalized problem A psi = E M psi is recast
     as H = M^{-1/2} A M^{-1/2}.
+
+    ``grid.floor`` bounds the spectrum of H from below.  Every W_a >= 0, so
+    dropping a kinetic term D_a^T W_a D_a, or one face row of it, can only
+    lower the spectrum.  Relaxing along axis b drops every face of the other
+    axis and the periodic wrap face of axis b (its Dirichlet wall rows stay).
+    What is left is one tridiagonal line along axis b per node of the other
+    axis (:func:`_line_floor`).  The floor is the largest of ``v_min`` and the
+    two relaxations.  The mixed term of a non-orthogonal chart has no sign,
+    so there the floor is ``v_min``.  The bisection is accurate to round-off,
+    and on the bare cylinder the floor equals the lowest eigenvalue, so a
+    shift-invert shift needs a margin below it.
 
     Returns (H, grid) with H in CSR format, exactly symmetric.
     """
@@ -569,9 +609,20 @@ def assemble_2d(
     w2 = flux_coefficients(q1, faces2)[2] * (h1 / h2)
     a = grad.T @ grad.multiply(np.concatenate([w1, w2])[:, None])
 
-    if np.max(np.abs(g_n[..., 0, 1])) > 1e-14 * max(
+    v_node = add_morphology(nodes.potential, profile, well, qq1, qq2)
+    floor = v_min = float(np.min(v_node))
+    orthogonal = np.max(np.abs(g_n[..., 0, 1])) <= 1e-14 * max(
         1.0, float(np.max(np.abs(g_n[..., 0, 0])))
-    ):
+    )
+    if orthogonal:
+        m = mass.reshape(n1, n2)
+        vm = v_node * m
+        wrap1, wrap2 = (-1 if c == "periodic" else None for c in bc)
+        # lines along axis 1 (one per axis-2 node), then along axis 2
+        along1 = _line_floor(d1[:wrap1], w1.reshape(-1, n2)[:wrap1].T, vm.T, m.T)
+        along2 = _line_floor(d2[:wrap2], w2.reshape(n1, -1)[:, :wrap2], vm, m)
+        floor = max(floor, along1, along2)
+    else:
         # corners have no wall rows: a Dirichlet axis is natural there
         open_bc = ["natural" if c == "dirichlet" else c for c in bc]
         c1, e1 = _differences(q1, h1, a1, b1, open_bc[0])
@@ -582,14 +633,13 @@ def assemble_2d(
         mixed = sp.kron(e1, abs(e2)).T @ sp.diags(w) @ sp.kron(abs(e1), e2)
         a = a + (mixed + mixed.T)  # grouped so that a stays exactly symmetric
 
-    v_node = add_morphology(nodes.potential, profile, well, qq1, qq2)
     h = (a + sp.diags(v_node.ravel() * mass)).tocsr()
 
     inv_sqrt_m = 1.0 / np.sqrt(mass)
     rows = np.repeat(np.arange(n1 * n2), np.diff(h.indptr))
     # parenthesized so transposed entries scale by the bitwise-identical factor
     h.data *= inv_sqrt_m[rows] * inv_sqrt_m[h.indices]
-    return h, Grid2D(q1=q1, q2=q2, bc=bc, v_min=float(np.min(v_node)))
+    return h, Grid2D(q1=q1, q2=q2, bc=bc, v_min=v_min, floor=floor)
 
 
 def lowest_eigenvalues_2d(h: sp.csr_matrix, k: int, sigma: float) -> np.ndarray:
@@ -597,9 +647,11 @@ def lowest_eigenvalues_2d(h: sp.csr_matrix, k: int, sigma: float) -> np.ndarray:
     Lanczos).
 
     Shift-invert returns the eigenvalues nearest to ``sigma``, so ``sigma``
-    must sit below the spectrum.  For the 2D operator pass ``grid.v_min``
-    minus a margin (the kinetic quadratic form is positive semidefinite, so
-    the potential minimum bounds the spectrum from below).
+    must sit below the spectrum.  For the 2D operator pass ``grid.floor``
+    minus a margin (see :func:`assemble_2d`).  Any lower bound is correct,
+    ``grid.v_min`` among them, but the closer ``sigma`` sits to the lowest
+    eigenvalue, the better the wanted eigenvalues of (H - sigma)^{-1}
+    separate and the fewer Lanczos steps, each one factor solve, it takes.
 
     ``h - sigma`` is factorised once by SuperLU under a multiple-minimum-degree
     ordering of A^T + A, which suits the symmetric pattern: SuperLU's default,

@@ -1,5 +1,6 @@
 """Config schema, validation, and the command-line surface."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -38,7 +39,8 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("# units:")
-    header = lines[1].split(",")
+    # the header quotes names that hold commas, such as sigma[in=+1,out=-1]
+    header = next(csv.reader(lines[1:2]))
     data = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
     return header, data
 
@@ -426,16 +428,18 @@ def test_cmd_sweep_include_vg_shifts_absolute_energies_only(tmp_path):
         summary = json.loads((out / "run_sweep_summary.json").read_text())
         assert summary["conventions"]["include_vg"] is include_vg
         runs[include_vg] = (summary, *read_csv(out / "run_sweep.csv"))
-    (s_on, header, on), (s_off, _, off) = runs[True], runs[False]
+    (s_on, header, on), (s_off, header_off, off) = runs[True], runs[False]
     assert s_on["conventions"]["band_bottom_absolute"] == -0.25
     assert s_off["conventions"]["band_bottom_absolute"] == 0.0
-    # the sigma[in=..,out=..] names hold commas: take columns by position
-    assert header[:3] == ["E1_raw[e0]", "E1_rel[e0]", "sigma_total[sigma0]"]
-    assert header[-5:-3] == ["P_Lz", "n_open"] and header[-1] == "threshold_flag"
-    for i in (1, -4, -1):  # E1_rel, n_open, threshold_flag
-        np.testing.assert_array_equal(on[:, i], off[:, i])
-    np.testing.assert_array_equal(on[:, 0] - off[:, 0], -0.25)
-    sigma = slice(2, -5)  # sigma_total and every mode-resolved column
+    assert header_off == header and len(header) == on.shape[1]
+    col = header.index
+    for name in ("E1_rel[e0]", "n_open", "threshold_flag"):
+        np.testing.assert_array_equal(on[:, col(name)], off[:, col(name)])
+    e1_raw = col("E1_raw[e0]")
+    np.testing.assert_array_equal(on[:, e1_raw] - off[:, e1_raw], -0.25)
+    sigma = [col("sigma_total[sigma0]")]  # and every mode-resolved column
+    sigma += [i for i, name in enumerate(header) if name.startswith("sigma[in=")]
+    assert len(sigma) == 1 + 5**2  # record_l 2: l = -2 ... 2
     np.testing.assert_allclose(on[:, sigma], off[:, sigma], rtol=0, atol=1e-9)
 
 

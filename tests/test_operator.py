@@ -550,6 +550,50 @@ def test_2d_mixed_metric_operator_action():
     assert errs[0] / errs[1] > 3.0
 
 
+@pytest.mark.parametrize(
+    "chart, profile",
+    [
+        (geo.plane_chart(extent=(1.0, 2.0)), helical()),
+        (geo.sphere_chart(radius=1.0), helical()),
+        (geo.torus_chart(), helical()),
+        (geo.catenoid_chart(), helical()),
+        (geo.cylinder_chart(radius=1.0, z_extent=(0.0, 2.0)), None),
+        (geo.cylinder_chart(radius=1.0, z_extent=(0.0, 2.0)), helical()),
+    ],
+    ids=["plane", "sphere", "torus", "catenoid", "cylinder", "helical-cylinder"],
+)
+def test_2d_floor_bounds_the_spectrum(chart, profile):
+    # the line relaxations drop positive semidefinite terms, so the floor
+    # lies between the potential minimum and the lowest dense eigenvalue
+    h, grid = op.assemble_2d(chart, profile, WELL, n1=24, n2=24)
+    lowest = np.linalg.eigvalsh(h.toarray())[0]
+    assert grid.v_min <= grid.floor <= lowest + 1e-12 * max(1.0, abs(lowest))
+    if profile is None:
+        # the bare cylinder's ground state is constant in theta, so the lines
+        # along z, with the walls kept, carry it exactly
+        assert grid.floor == pytest.approx(lowest, rel=0, abs=1e-10)
+
+
+def test_2d_floor_is_v_min_on_a_sheared_chart():
+    # the mixed term has no sign, so no relaxation bounds H
+    chart = geo.plane_chart(extent=(1.0, 1.0), shear=0.4)
+    _, grid = op.assemble_2d(chart, helical(), WELL, n1=24, n2=24)
+    assert np.float64(grid.floor).tobytes() == np.float64(grid.v_min).tobytes()
+
+
+def test_2d_floor_shift_matches_potential_shift():
+    # the shift just below the floor is the fast path; the shift one below
+    # the potential minimum is the reference
+    chart = geo.cylinder_chart(radius=1.0, z_extent=(0.0, 2.0))
+    h, grid = op.assemble_2d(chart, helical(), WELL, n1=48, n2=48)
+    assert grid.floor > grid.v_min + 1.0
+    fast = op.lowest_eigenvalues_2d(
+        h, 10, sigma=grid.floor - 1e-3 * max(1.0, abs(grid.floor))
+    )
+    reference = op.lowest_eigenvalues_2d(h, 10, sigma=grid.v_min - 1.0)
+    np.testing.assert_allclose(fast, reference, rtol=1e-12, atol=0)
+
+
 def test_closed_coupled_channel_matches_2d():
     # cross-method oracle: dense 2D grid diagonalization of the same cylinder
     length = 3.0

@@ -15,7 +15,9 @@ from qsurf import config as cfgmod
 
 
 def reference_csv(header, rows) -> bytes:
-    lines = [cli.UNITS_NOTE, ",".join(header)]
+    # names that hold commas, such as sigma[in=+1,out=-1], are quoted
+    names = (f'"{name}"' if "," in name else name for name in header)
+    lines = [cli.UNITS_NOTE, ",".join(names)]
     for row in rows:
         cells = (v if isinstance(v, str) else "%.17g" % float(v) for v in row)
         lines.append(",".join(cells))
@@ -96,7 +98,9 @@ def test_spectrum_csv_matches_row_writer(tmp_path):
     run_cli(tmp_path, cfg, "spectrum")
     setup = cfgmod.resolve(cfg)
     h2d, grid = operator.assemble_2d(setup.chart, None, setup.well, n1=6, n2=12)
-    vals = operator.lowest_eigenvalues_2d(h2d, 4, sigma=grid.v_min - 1.0)
+    # the CLI shifts a margin below the floor, which sets the last bits
+    sigma = grid.floor - 1e-3 * max(1.0, abs(grid.floor))
+    vals = operator.lowest_eigenvalues_2d(h2d, 4, sigma=sigma)
     expected = reference_csv(["index", "E[e0]"], [(str(i), v) for i, v in enumerate(vals)])
     assert (tmp_path / "run_spectrum.csv").read_bytes() == expected
 
