@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
 from dataclasses import replace
-from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,37 +35,54 @@ from .errors import ProfileError, QsurfError, ResolutionError
 
 UNITS_NOTE = "# units: lengths in a, energies in e0 = hbar^2/(2 m a^2), sigma in sigma0 = e^2/h"
 
-_FMT = "%.17g"  # CSV float format: round-trips exactly, so reruns are bit-identical
+_FMT = b"%.17g"  # CSV float format: round-trips exactly, so reruns are bit-identical
 
 
 def _write_csv(path: Path, header, columns) -> None:
-    """Stream a CSV table one outer row at a time.
+    """Stream a CSV table, one ``bytes % tuple`` call per outer row.
 
     The float ``columns`` broadcast to one (outer, inner) table; a 1-D column
-    runs along the outer axis.  Each column is formatted in one lazy map over
-    its own values, once per value, and repeated where it broadcasts; the
-    rows zip those columns together.
+    runs along the outer axis.  An outer row is ``n_inner`` lines, written
+    from one line template built once per table:
+
+    * a column that is the same in every outer row (θ in a density map, a
+      scalar) is formatted into the template once;
+    * a column with one value per outer row (z in a density map) is
+      formatted once per row and passed to the template as ``%s``;
+    * every other cell is a ``%.17g`` of the template, formatted in C from
+      the row's own ``tolist()``.
+
+    A row's arguments must follow the template's cell order, line by line and
+    within a line column by column, because ``%`` fills the placeholders in
+    that order: the k-th column with placeholders fills every ``n_args``-th
+    argument from slot k.  The file is that order too, so no cell moves.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
     n_outer, n_inner = np.broadcast_shapes(*(c.shape for c in cols))
+    cells, filled = [], []  # each column's text in every line; the columns with slots
+    for c in cols:
+        if c.shape[0] == 1:  # the same in every outer row
+            cells.append([_FMT % v for v in np.broadcast_to(c[0], n_inner).tolist()])
+        else:
+            cells.append([_FMT if c.shape[1] == n_inner else b"%s"] * n_inner)
+            filled.append(c)
+    template = b"".join(b",".join(line) + b"\n" for line in zip(*cells))
+    n_args = len(filled)
+    args = [None] * (n_inner * n_args)
 
-    def cells(c):
-        """The strings of column c in table order, outer-major."""
-        text = map(_FMT.__mod__, chain.from_iterable(map(np.ndarray.tolist, c)))
-        if c.shape[1] < n_inner:  # one value per outer row
-            text = chain.from_iterable(map(repeat, text, repeat(n_inner)))
-        if c.shape[0] < n_outer:  # one outer row for all of them
-            text = chain.from_iterable(repeat(list(text), n_outer))
-        return text
-
-    rows = map(",".join, zip(*map(cells, cols)))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{UNITS_NOTE}\n")
-        # quotes the names that hold commas, such as sigma[in=+1,out=-1]
-        csv.writer(f, lineterminator="\n").writerow(header)
-        for _ in range(n_outer):
-            f.write("\n".join(islice(rows, n_inner)) + "\n")
+    head = io.StringIO()
+    # quotes the names that hold commas, such as sigma[in=+1,out=-1]
+    csv.writer(head, lineterminator="\n").writerow(header)
+    with open(path, "wb") as f:
+        f.write(f"{UNITS_NOTE}\n{head.getvalue()}".encode())
+        for i in range(n_outer):
+            for slot, c in enumerate(filled):
+                if c.shape[1] == n_inner:
+                    args[slot::n_args] = c[i].tolist()
+                else:  # one value per outer row, the same text in every line
+                    args[slot::n_args] = [_FMT % c[i, 0]] * n_inner
+            f.write(template % tuple(args))
 
 
 class _Stopwatch:
@@ -81,10 +98,18 @@ class _Stopwatch:
 
 def _write_json(path: Path, payload: dict, cfg: cfgmod.RunConfig) -> None:
     """Write a run's JSON with its provenance: the versions of qsurf, numpy and
-    scipy, and the SHA-256 of the config the run used."""
+    scipy, the name and version of numpy's BLAS, and the SHA-256 of the config
+    the run used.
+
+    numpy reports its BLAS from 1.25 on; before that ``versions`` has no
+    ``blas`` entry.
+    """
     versions = {
         "qsurf": __version__, "numpy": np.__version__, "scipy": scipy.__version__
     }
+    if np.lib.NumpyVersion(np.__version__) >= "1.25.0":
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        versions["blas"] = {"name": blas["name"], "version": blas["version"]}
     digest = hashlib.sha256(cfgmod.serialize(cfg).encode()).hexdigest()
     payload.update(versions=versions, config_sha256=digest)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")

@@ -587,16 +587,49 @@ def test_cmd_summaries_record_provenance(tmp_path):
         assert cli.main(["spectrum"] + argv) == 0
         for name, used in expected.items():
             meta = json.loads((tmp_path / run / name).read_text())
+            blas = meta["versions"].pop("blas", None)
             assert meta["versions"] == {
                 "qsurf": qsurf.__version__,
                 "numpy": metadata.version("numpy"),
                 "scipy": metadata.version("scipy"),
             }
+            # numpy reports its BLAS from 1.25 on (see the two tests below)
+            has_blas = np.lib.NumpyVersion(np.__version__) >= "1.25.0"
+            assert (blas is not None) == has_blas
+            assert blas is None or set(blas) == {"name", "version"}
             digest = hashlib.sha256(cfgmod.serialize(used).encode()).hexdigest()
             assert meta["config_sha256"] == digest
             hashes.append(digest)
     assert hashes[:3] == hashes[3:]
     assert hashes[0] == hashes[2] != hashes[1]
+
+
+def fake_show_config(mode="stdout"):
+    # the shape of numpy >= 1.25's show_config(mode="dicts"), trimmed
+    assert mode == "dicts"
+    blas = {"name": "openblas", "found": True, "version": "0.3.23"}
+    return {"Build Dependencies": {"blas": blas, "lapack": dict(blas)}}
+
+
+def test_run_json_records_blas_name_and_version(tmp_path, monkeypatch):
+    monkeypatch.setattr(np, "__version__", "1.25.0")
+    monkeypatch.setattr(np, "show_config", fake_show_config)
+    cli._write_json(tmp_path / "run.json", {}, cfgmod.RunConfig())
+    versions = json.loads((tmp_path / "run.json").read_text())["versions"]
+    assert versions["numpy"] == "1.25.0"
+    assert versions["blas"] == {"name": "openblas", "version": "0.3.23"}
+
+
+def test_run_json_records_no_blas_before_numpy_1_25(tmp_path, monkeypatch):
+    def show_config():  # numpy 1.24's signature: it only prints
+        raise AssertionError("show_config must not be called before numpy 1.25")
+
+    monkeypatch.setattr(np, "__version__", "1.24.4")
+    monkeypatch.setattr(np, "show_config", show_config)
+    cli._write_json(tmp_path / "run.json", {}, cfgmod.RunConfig())
+    versions = json.loads((tmp_path / "run.json").read_text())["versions"]
+    assert set(versions) == {"qsurf", "numpy", "scipy"}
+    assert versions["numpy"] == "1.24.4"
 
 
 def test_cmd_spectrum_reruns_bit_identical(tmp_path):

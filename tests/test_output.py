@@ -1,14 +1,16 @@
 """CSV output: the streamed column writer against a plain row writer.
 
 The reference below formats every cell with ``"%.17g" % float(v)`` and joins
-row by row, the way the CSV files were always laid out; each command's file
-must equal it byte for byte.
+row by row, the way the CSV files were always laid out; each command's file,
+and every random table the property test draws, must equal it byte for byte.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qsurf import cli, geometry, operator, transport
 from qsurf import config as cfgmod
@@ -207,3 +209,59 @@ def test_each_column_formats_like_per_value_formatting(tmp_path, shapes):
     flat = [np.broadcast_to(c, shape).ravel() for c in table]
     rows = [["%.17g" % v for v in row] for row in zip(*flat)]
     assert path.read_bytes() == reference_csv(header, rows)
+
+
+# cells of the drawn tables: edge values, then any double, then either end of
+# the exponent range
+cell_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(1e290, 1e308) | st.floats(-1e308, -1e290),
+    st.floats(1e-308, 1e-290) | st.floats(-1e-290, -1e-308),
+)
+# how a column broadcasts: one value per outer row (1-D or a column vector, as
+# z in a density map), one row shared by every outer row (as theta), a full
+# table, a scalar
+COLUMN_KINDS = ["outer", "outer-2d", "inner", "full", "scalar"]
+
+
+@st.composite
+def tables(draw):
+    n_outer, n_inner = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shapes = {
+        "outer": (n_outer,),
+        "outer-2d": (n_outer, 1),
+        "inner": (1, n_inner),
+        "full": (n_outer, n_inner),
+        "scalar": (1, 1),
+    }
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6)):
+        shape = shapes[kind]
+        size = int(np.prod(shape))
+        dtype = draw(st.sampled_from(["float64", "int64", "bool"]))
+        if dtype == "int64":
+            values = st.integers(-(2**53), 2**53)
+        elif dtype == "bool":
+            values = st.booleans()
+        else:
+            values = cell_values
+        cells = draw(st.lists(values, min_size=size, max_size=size))
+        columns.append(np.array(cells, dtype=dtype).reshape(shape))
+    return columns
+
+
+@given(tables())
+@example([np.array([[0.5, -0.0, float("nan")]]), np.array([[1.0]])])  # one row
+@example([np.array([1e-300, -5e-324, float("inf"), 2.0**-1060])])  # one column
+@example([np.array([[True, False], [False, True]]), np.array([3, -7])])
+def test_random_tables_match_the_row_writer(tmp_path_factory, columns):
+    # every column broadcast to the table, outer-major, then each value with
+    # "%.17g" % float(v): the template must put each cell in its own place
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    header = [f"c{k}" for k in range(len(columns))]
+    cli._write_csv(path, header, columns)
+    table = [c[:, None] if c.ndim == 1 else c for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in table))
+    flat = [np.broadcast_to(c, shape).ravel().tolist() for c in table]
+    assert path.read_bytes() == reference_csv(header, zip(*flat))
