@@ -49,26 +49,37 @@ def _write_csv(path: Path, header, columns) -> None:
       scalar) is formatted into the template once;
     * a column with one value per outer row (z in a density map) is
       formatted once per row and passed to the template as ``%s``;
-    * every other cell is a ``%.17g`` of the template, formatted in C from
-      the row's own ``tolist()``.
+    * every other cell is a ``%.17g`` of the template, formatted in C.  These
+      full-width columns are stacked once, and each outer row takes their
+      values with one ``tolist()``, line by line and within a line column by
+      column.
 
     A row's arguments must follow the template's cell order, line by line and
     within a line column by column, because ``%`` fills the placeholders in
     that order: the k-th column with placeholders fills every ``n_args``-th
     argument from slot k.  The file is that order too, so no cell moves.
+    Without per-row columns the stacked values are that order already.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
     n_outer, n_inner = np.broadcast_shapes(*(c.shape for c in cols))
-    cells, filled = [], []  # each column's text in every line; the columns with slots
+    # each column's text in every line; (slot, column) of the columns with slots
+    cells, full, per_row = [], [], []
     for c in cols:
+        slot = len(full) + len(per_row)
         if c.shape[0] == 1:  # the same in every outer row
             cells.append([_FMT % v for v in np.broadcast_to(c[0], n_inner).tolist()])
+        elif c.shape[1] == n_inner:
+            cells.append([_FMT] * n_inner)
+            full.append((slot, c))
         else:
-            cells.append([_FMT if c.shape[1] == n_inner else b"%s"] * n_inner)
-            filled.append(c)
+            cells.append([b"%s"] * n_inner)
+            per_row.append((slot, c[:, 0]))
     template = b"".join(b",".join(line) + b"\n" for line in zip(*cells))
-    n_args = len(filled)
+    n_full, n_args = len(full), len(full) + len(per_row)
+    values = np.empty((n_outer, n_inner * n_full))
+    for k, (_, c) in enumerate(full):
+        values[:, k::n_full] = c
     args = [None] * (n_inner * n_args)
 
     head = io.StringIO()
@@ -77,12 +88,14 @@ def _write_csv(path: Path, header, columns) -> None:
     with open(path, "wb") as f:
         f.write(f"{UNITS_NOTE}\n{head.getvalue()}".encode())
         for i in range(n_outer):
-            for slot, c in enumerate(filled):
-                if c.shape[1] == n_inner:
-                    args[slot::n_args] = c[i].tolist()
-                else:  # one value per outer row, the same text in every line
-                    args[slot::n_args] = [_FMT % c[i, 0]] * n_inner
-            f.write(template % tuple(args))
+            row = values[i].tolist()
+            if per_row:  # the %s columns take their slots between the others
+                for k, (slot, _) in enumerate(full):
+                    args[slot::n_args] = row[k::n_full]
+                for slot, c in per_row:  # the same text in every line of the row
+                    args[slot::n_args] = [_FMT % c[i]] * n_inner
+                row = args
+            f.write(template % tuple(row))
 
 
 class _Stopwatch:

@@ -65,7 +65,16 @@ the one ThresholdProximityWarning that names the flagged energies:
   first join couples the lab-frame slice before the run through b W_start
   with gamma_A = 0, every later one through T.  The last slice is then
   rotated back with W and undressed, and the slice recursion carries on from
-  there.  The cost per energy no longer grows with the length of the run;
+  there.  The cost per energy no longer grows with the length of the run.
+  Each power is its own mirror image under P: reverse the slices and map
+  l -> -l.  The ditch term is cos(m_d theta) in the screw frame and the
+  thresholds depend on l^2, so P A P = A, and P T P = T^dag.  A squaring
+  then needs G_11 and G_1N alone and inverts through two n x n matrices
+  (:func:`_square`).  The split applies to a sector closed under l -> -l
+  whose cell equals P A P to _SCREW_RTOL of its largest entry, which is
+  every sector when m_d <= 2.  The sectors l = c and l = -c (mod m_d) that
+  map onto each other when m_d >= 3, a run whose cell is not its mirror
+  image, and the joins onto the running corners keep :func:`_join`;
 * :func:`rgf_smatrix` runs the explicit recursion over every slice on all
   modes at once, with no fold and no split: it is the reference the split,
   folded sweep is tested against;
@@ -119,7 +128,7 @@ from .errors import (
     ThresholdProximityWarning,
     UndefinedPolarizationError,
 )
-from .operator import CoupledChannelOperator, LeadModeSet
+from .operator import _SCREW_RTOL, CoupledChannelOperator, LeadModeSet
 
 THRESHOLD_ATOL = 1e-9
 _DRESSING = 0.03  # i gamma on the end slices of folded segments, gamma in 1/dz^2
@@ -297,6 +306,42 @@ def _join(
     )
 
 
+def _mirror(a: np.ndarray) -> np.ndarray:
+    """P a P, with P the map l -> -l: the reversal of a mirror-closed sector's
+    modes (a view)."""
+    return a[..., ::-1, ::-1]
+
+
+def _square(y: _Corners, gamma: float, t, stats: Counter) -> _Corners:
+    """Corners of the segment y|y, joined through diag(t) as in :func:`_join`,
+    for a dressed screw power y that is its own mirror image: reversing its
+    slices and mapping l -> -l leaves it unchanged, so G_NN = P G_11 P and
+    G_N1 = P G_1N P, and y is read through y.g11 and y.g1n alone.
+
+    The join matrix I + J Delta = [[X, Z], [P Z P, P X P]], with
+    X = I - i gamma Y_NN and Z = Y_NN T, commutes with [[0, P], [P, 0]], so it
+    inverts through R+- = (X +- Z P)^{-1}: two n x n inversions per energy
+    instead of one 2n x 2n.  With V+- = (-i gamma +- T P) R+-,
+
+        K_AA = (V+ + V-) / 2                  K_AB = (V+ - V-) P / 2
+        G_11 = Y_11 - Y_1N K_AA P Y_1N P      G_1N = -Y_1N K_AB Y_1N
+
+    The sums (-i gamma S+ + T P S-) / 2 over S+- = R+ +- R- give the same K,
+    but rounded worse: on ``sweep_long`` they raised the largest unitarity
+    residual from 2.8e-11 to 8.1e-11.
+    """
+    x = np.eye(t.size) - 1j * gamma * _mirror(y.g11)
+    zp = (_mirror(y.g11) * t)[..., ::-1]
+    r_plus = _inv(x + zp, "screw squaring", stats)
+    r_minus = _inv(x - zp, "screw squaring", stats)
+    v_plus = -1j * gamma * r_plus + t[:, None] * r_plus[..., ::-1, :]
+    v_minus = -1j * gamma * r_minus - t[:, None] * r_minus[..., ::-1, :]
+    k_aa, k_ab = 0.5 * (v_plus + v_minus), 0.5 * (v_plus - v_minus)
+    g11 = y.g11 - y.g1n @ k_aa @ _mirror(y.g1n)
+    g1n = -(y.g1n @ k_ab[..., ::-1] @ y.g1n)
+    return _Corners(g11, g1n, _mirror(g1n), _mirror(g11))
+
+
 def _sectors(op: CoupledChannelOperator) -> list:
     """The sectors of ``op``, each an ascending array of mode indices, in the
     order of their first mode: the connected components of the union of its
@@ -326,12 +371,21 @@ def _attach_screw_run(
     w_last = run.gauge(modes, op.z_nodes[run.stop - 1])
     cell = w_first.conj()[:, None] * op.onsite[run.start, idx[:, None], idx] * w_first
     t_screw = b * run.gauge(modes, op.dz)
+    # every power is its own mirror image (see _square) when the modes are
+    # closed under l -> -l, which gives P T P = T^dag, and P cell P = cell to
+    # _SCREW_RTOL of the cell's largest entry, the rule the run itself obeys
+    tolerance = _SCREW_RTOL * np.max(np.abs(cell))
+    mirrored = np.array_equal(modes[::-1], -modes) and bool(
+        np.max(np.abs(cell - _mirror(cell))) <= tolerance
+    )
     y = _inv(e_eye - cell + 2j * gamma * np.eye(modes.size), "screw cell", stats)
     power = _Corners(y, y, y, y)
     t, gamma_a = b * w_first, 0.0  # lab-frame slice before the run to its first
     n_run = run.stop - run.start
     for bit in range(n_run.bit_length()):
-        if bit:
+        if bit and mirrored:
+            power = _square(power, gamma, t_screw, stats)
+        elif bit:
             power = _join(power, power, gamma, gamma, t_screw, stats)
         if n_run >> bit & 1:
             c = _join(c, power, gamma_a, gamma, t, stats)

@@ -486,10 +486,11 @@ def test_cmd_sweep_summary_reports_solver(tmp_path):
     # m_d = 2: the even and the odd modes of l_max 6
     assert solver["sectors"] == [7, 6]
     # per energy block and sector with an open channel: 2 explicit slices, the
-    # unit cell, floor(log2 158) = 7 squarings, popcount(158) - 1 = 4 joins,
-    # the attach and the undress; l = 0 open takes the even sector alone,
-    # l = -1, 0, 1 open take both
-    assert solver["inversions"] == (1 + 2) * (2 + 1 + 7 + 4 + 1 + 1)
+    # unit cell, floor(log2 158) = 7 squarings of two half-size inversions
+    # each (both sectors are closed under l -> -l), popcount(158) - 1 = 4
+    # joins, the attach and the undress; l = 0 open takes the even sector
+    # alone, l = -1, 0, 1 open take both
+    assert solver["inversions"] == (1 + 2) * (2 + 1 + 2 * 7 + 4 + 1 + 1)
     assert summary["diagnostics"]["max_reciprocity_residual"] <= 1e-9
     header, data = read_csv(tmp_path / "run_sweep.csv")
     assert header[-3:] == ["unitarity_residual", "reciprocity_residual", "threshold_flag"]

@@ -1,12 +1,15 @@
 """Property tests of the screw-run fold and of the stacked observables.
 
 Each fold example draws a helical window (corrugation depth, sense of the
-helix, taper, length in pitches) and an energy, then checks the folded sweep
-against ``rgf_smatrix`` and against the invariants it must keep: unitarity,
-reciprocity and the kappa -> -kappa mirror.  The observable kernels are drawn
-random complex blocks and must give the same bits on a stack as on each slice.
-The sweep energy grid must stay increasing, inside its range and clear of
-every channel threshold.  A random valid run config must survive the JSON
+helix, taper, length in pitches, number of ditches m_d) and an energy, then
+checks the folded sweep against ``rgf_smatrix`` and against the invariants it
+must keep: unitarity, reciprocity and the kappa -> -kappa mirror.  m_d 1 and
+2 give sectors closed under l -> -l, whose screw powers square through the
+mirror split; at m_d 3 the sectors l = 1 and l = 2 (mod 3) map onto each
+other, and their squarings keep the full join.  The observable kernels are
+drawn random complex blocks and must give the same bits on a stack as on each
+slice.  The sweep energy grid must stay increasing, inside its range and clear
+of every channel threshold.  A random valid run config must survive the JSON
 round-trip and per-field ``--set`` unchanged, and a value outside a field's
 declared bound or enum must be rejected by every route with the field's name.
 """
@@ -40,14 +43,21 @@ windows = st.fixed_dictionaries(
         "sign": st.sampled_from([1.0, -1.0]),
         "taper": st.floats(0.0, 1.0),  # in pitches
         "pitches": st.integers(2, 8),
+        "ditches": st.sampled_from([1, 2, 3]),
     }
 )
 energies = st.floats(0.05, E1_MAX - 0.1)  # above the band bottom; l <= 2 open
 
 
-def window_operator(eps, sign, taper, pitches):
-    """The window on the grid the package picks for a sweep up to E1_MAX."""
-    prof = cf.helical_profile(eps, 8.0, sign * KAPPA, radius=1.0, ditch_count=2)
+def window_operator(eps, sign, taper, pitches, ditches):
+    """The window on the grid the package picks for a sweep up to E1_MAX.
+    Three ditches take m_d from omega * r = 3, the only route to m_d > 2."""
+    if ditches == 3:
+        prof = cf.helical_profile(eps, 3.0, sign * KAPPA, radius=1.0)
+    else:
+        prof = cf.helical_profile(
+            eps, 8.0, sign * KAPPA, radius=1.0, ditch_count=ditches
+        )
     basis = op.ChannelBasis(l_max=L_MAX, radius=1.0)
     return op.assemble_coupled_channel(
         prof,

@@ -779,6 +779,55 @@ def test_fold_exact_at_eigenvalues_of_the_isolated_run():
             )
 
 
+def skewed_operator(skew):
+    """A two-ditch helical window whose ditch is skewed by ``skew``:
+    s = 1 - eps (0.35 cos phi + skew sin 2 phi + 0.5), phi = m_d theta - k_z z.
+    It is screw invariant at any skew, and mirror symmetric (theta -> -theta,
+    so l -> -l in the screw frame) only at skew 0."""
+    eps, m_d, kz = 0.1, 2, 4.0
+
+    def s(theta, z):
+        phi = m_d * theta - kz * z
+        return 1.0 - eps * (0.35 * np.cos(phi) + skew * np.sin(2 * phi) + 0.5)
+
+    pitch = 2.0 * np.pi / kz
+    prof = cf.ConfinementProfile(
+        s=s, epsilon=eps, kind="helical",
+        params={"m_d": m_d, "z_wavenumber": kz}, z_period=pitch,
+    )
+    basis = op.ChannelBasis(l_max=6, radius=1.0)
+    return op.assemble_coupled_channel(
+        prof, WELL, basis, length=4.0 * pitch, dz=0.04, taper=pitch
+    )
+
+
+def test_fold_squares_through_the_mirror_only_where_the_run_has_it(monkeypatch):
+    # the skewed run's cell is not its own mirror image, so its squarings go
+    # through _join: the split of _square is off by 0.12 on it
+    squarings = []
+
+    def spy(*args):
+        squarings.append(args)
+        return square(*args)
+
+    square = tr._square
+    monkeypatch.setattr(tr, "_square", spy)
+    energies = np.array([0.4, 1.3, 2.2, 3.1, 4.3]) + VG
+    for skew, mirrored in ((0.0, True), (0.15, False)):
+        o = skewed_operator(skew)
+        assert o.screw is not None and len(tr._sectors(o)) == 2
+        squarings.clear()
+        for e1 in energies:
+            folded = tr._solve(o, tr._sectors(o), o.lead_mode_set([e1]), Counter())
+            explicit = tr.rgf_smatrix(o, e1)
+            for name, block in zip(("t", "r", "t_reverse", "r_reverse"), folded):
+                np.testing.assert_allclose(
+                    block[0], getattr(explicit, name), rtol=0, atol=1e-10,
+                    err_msg=f"skew {skew}, E1 {e1}, {name}",
+                )
+        assert bool(squarings) == mirrored
+
+
 def _forged_entry(o, e1, channel=0):
     """The slice-0 entry e1 - onsite of a channel, as the complex value that
     _corner_recursion reads back as b^2 (Sigma / b^2)."""
