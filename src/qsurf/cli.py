@@ -39,48 +39,35 @@ _FMT = b"%.17g"  # CSV float format: round-trips exactly, so reruns are bit-iden
 
 
 def _write_csv(path: Path, header, columns) -> None:
-    """Stream a CSV table, one ``bytes % tuple`` call per outer row.
+    """Stream a CSV table, one ``template % texts % values`` write per outer row.
 
     The float ``columns`` broadcast to one (outer, inner) table; a 1-D column
-    runs along the outer axis.  An outer row is ``n_inner`` lines, written
-    from one line template built once per table:
-
-    * a column that is the same in every outer row (θ in a density map, a
-      scalar) is formatted into the template once;
-    * a column with one value per outer row (z in a density map) is
-      formatted once per row and passed to the template as ``%s``;
-    * every other cell is a ``%.17g`` of the template, formatted in C.  These
-      full-width columns are stacked once, and each outer row takes their
-      values with one ``tolist()``, line by line and within a line column by
-      column.
-
-    A row's arguments must follow the template's cell order, line by line and
-    within a line column by column, because ``%`` fills the placeholders in
-    that order: the k-th column with placeholders fills every ``n_args``-th
-    argument from slot k.  The file is that order too, so no cell moves.
-    Without per-row columns the stacked values are that order already.
+    runs along the outer axis.  An outer row is ``n_inner`` lines of one
+    template, built once per table.  A column that is the same in every outer
+    row (θ in a density map, a scalar) is formatted into it; one with a value
+    per outer row (z in a density map) is a ``%s``, and every other cell a
+    ``%%.17g``.  The first ``%`` puts in the row's texts and turns each
+    ``%%.17g`` into ``%.17g``; the second fills the full-width values, stacked
+    once per table, in C.  Both fill their placeholders in the file's order:
+    line by line, and within a line column by column.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
     n_outer, n_inner = np.broadcast_shapes(*(c.shape for c in cols))
-    # each column's text in every line; (slot, column) of the columns with slots
-    cells, full, per_row = [], [], []
+    cells, full, per_row = [], [], []  # each column's text in every line
     for c in cols:
-        slot = len(full) + len(per_row)
         if c.shape[0] == 1:  # the same in every outer row
             cells.append([_FMT % v for v in np.broadcast_to(c[0], n_inner).tolist()])
         elif c.shape[1] == n_inner:
-            cells.append([_FMT] * n_inner)
-            full.append((slot, c))
+            cells.append([b"%" + _FMT] * n_inner)
+            full.append(c)
         else:
             cells.append([b"%s"] * n_inner)
-            per_row.append((slot, c[:, 0]))
+            per_row.append(c[:, 0].tolist())
     template = b"".join(b",".join(line) + b"\n" for line in zip(*cells))
-    n_full, n_args = len(full), len(full) + len(per_row)
-    values = np.empty((n_outer, n_inner * n_full))
-    for k, (_, c) in enumerate(full):
-        values[:, k::n_full] = c
-    args = [None] * (n_inner * n_args)
+    values = np.empty((n_outer, n_inner * len(full)))
+    for k, c in enumerate(full):
+        values[:, k::len(full)] = c
 
     head = io.StringIO()
     # quotes the names that hold commas, such as sigma[in=+1,out=-1]
@@ -88,14 +75,8 @@ def _write_csv(path: Path, header, columns) -> None:
     with open(path, "wb") as f:
         f.write(f"{UNITS_NOTE}\n{head.getvalue()}".encode())
         for i in range(n_outer):
-            row = values[i].tolist()
-            if per_row:  # the %s columns take their slots between the others
-                for k, (slot, _) in enumerate(full):
-                    args[slot::n_args] = row[k::n_full]
-                for slot, c in per_row:  # the same text in every line of the row
-                    args[slot::n_args] = [_FMT % c[i]] * n_inner
-                row = args
-            f.write(template % tuple(row))
+            texts = tuple(_FMT % c[i] for c in per_row) * n_inner
+            f.write(template % texts % tuple(values[i].tolist()))
 
 
 class _Stopwatch:

@@ -220,11 +220,14 @@ class ScrewRun:
     matrix W_j^dag onsite[j] W_j, and the hopping between neighbours becomes
     the constant phase hop * diag(exp(-i l q dz)).  The run excludes the first
     and last slice of the device, which carry the lead self-energies.
+    ``mirror`` records whether that matrix is its own image under l -> -l, to
+    _SCREW_RTOL of its largest entry.
     """
 
     q: float
     start: int
     stop: int
+    mirror: bool = False
 
     def gauge(self, modes: np.ndarray, z) -> np.ndarray:
         """Diagonal of W at height z (a scalar) or at each height of z."""
@@ -294,7 +297,8 @@ def _screw_run(
 
     The run covers the slices at full taper weight, without the device's
     first and last slice.  It is kept only if it spans at least two slices
-    and every rotated block equals the first to _SCREW_RTOL * max|onsite|.
+    and every rotated block equals the first to _SCREW_RTOL * max|onsite|;
+    it records whether that block is its own mirror image.
     """
     kz = profile.params.get("z_wavenumber")
     full = np.flatnonzero(weights == 1.0)
@@ -309,7 +313,9 @@ def _screw_run(
     rotated = w.conj()[:, :, None] * onsite[start:stop] * w[:, None, :]
     if np.max(np.abs(rotated - rotated[0])) > _SCREW_RTOL * np.max(np.abs(onsite)):
         return None
-    return run
+    cell = rotated[0]
+    gap = np.max(np.abs(cell - cell[::-1, ::-1]))
+    return replace(run, mirror=bool(gap <= _SCREW_RTOL * np.max(np.abs(cell))))
 
 
 def _taper_weight(z: np.ndarray, length: float, taper: float) -> np.ndarray:

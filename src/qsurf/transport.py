@@ -71,10 +71,11 @@ the one ThresholdProximityWarning that names the flagged energies:
   thresholds depend on l^2, so P A P = A, and P T P = T^dag.  A squaring
   then needs G_11 and G_1N alone and inverts through two n x n matrices
   (:func:`_square`).  The split applies to a sector closed under l -> -l
-  whose cell equals P A P to _SCREW_RTOL of its largest entry, which is
-  every sector when m_d <= 2.  The sectors l = c and l = -c (mod m_d) that
-  map onto each other when m_d >= 3, a run whose cell is not its mirror
-  image, and the joins onto the running corners keep :func:`_join`;
+  of a run whose cell the operator records as its own mirror image
+  (``ScrewRun.mirror``), which is every sector when m_d <= 2.  The sectors
+  l = c and l = -c (mod m_d) that map onto each other when m_d >= 3, a run
+  whose cell is not its mirror image, and the joins onto the running
+  corners keep :func:`_join`;
 * :func:`rgf_smatrix` runs the explicit recursion over every slice on all
   modes at once, with no fold and no split: it is the reference the split,
   folded sweep is tested against;
@@ -128,7 +129,7 @@ from .errors import (
     ThresholdProximityWarning,
     UndefinedPolarizationError,
 )
-from .operator import _SCREW_RTOL, CoupledChannelOperator, LeadModeSet
+from .operator import CoupledChannelOperator, LeadModeSet
 
 THRESHOLD_ATOL = 1e-9
 _DRESSING = 0.03  # i gamma on the end slices of folded segments, gamma in 1/dz^2
@@ -371,13 +372,9 @@ def _attach_screw_run(
     w_last = run.gauge(modes, op.z_nodes[run.stop - 1])
     cell = w_first.conj()[:, None] * op.onsite[run.start, idx[:, None], idx] * w_first
     t_screw = b * run.gauge(modes, op.dz)
-    # every power is its own mirror image (see _square) when the modes are
-    # closed under l -> -l, which gives P T P = T^dag, and P cell P = cell to
-    # _SCREW_RTOL of the cell's largest entry, the rule the run itself obeys
-    tolerance = _SCREW_RTOL * np.max(np.abs(cell))
-    mirrored = np.array_equal(modes[::-1], -modes) and bool(
-        np.max(np.abs(cell - _mirror(cell))) <= tolerance
-    )
+    # every power is its own mirror image (see _square) when the run's cell is
+    # (run.mirror) and the sector's modes are closed under l -> -l: P T P = T^dag
+    mirrored = run.mirror and np.array_equal(modes[::-1], -modes)
     y = _inv(e_eye - cell + 2j * gamma * np.eye(modes.size), "screw cell", stats)
     power = _Corners(y, y, y, y)
     t, gamma_a = b * w_first, 0.0  # lab-frame slice before the run to its first

@@ -18,7 +18,7 @@ import qsurf
 from qsurf import cli
 from qsurf import config as cfgmod
 from qsurf import geometry, operator, selftest, transport
-from qsurf.errors import ConfigError
+from qsurf.errors import ConfigError, NumericalError
 from test_transport import forged_self_energy
 
 
@@ -909,6 +909,41 @@ def test_cmd_memory_error_is_validation_error(tmp_path, capsys, monkeypatch, com
     err = capsys.readouterr().err
     assert err.startswith("validation error: the run asked for more memory")
     assert numpy_message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, sets, message",
+    [
+        ('{"numerics": ', [], "config is not valid JSON"),
+        ("[]", [], "config root must be a JSON object"),
+        ('{"numerics": 3}', [], "section 'numerics' must be an object"),
+        ("{}", ["numerics.l_max"], "--set needs key=value, got 'numerics.l_max'"),
+        ("{}", ["bogus.key=1"], "unknown config section 'bogus'"),
+    ],
+    ids=["not-json", "root-not-object", "section-not-object", "set-without-eq",
+         "set-unknown-section"],
+)
+def test_cmd_bad_config_input_exits_1(tmp_path, capsys, text, sets, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + [arg for item in sets for arg in ("--set", item)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and message in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_cmd_sweep_with_every_point_failed_exits_2(tmp_path, capsys, monkeypatch):
+    def failing_solve(*args):
+        raise NumericalError("forged solve failure")
+
+    monkeypatch.setattr(transport, "_solve", failing_solve)
+    path = write_config(tmp_path, paper_config(n_points=8))
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: every sweep point failed")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_help_exits_0(capsys):

@@ -200,7 +200,7 @@ def screw_operator(prof=None, length=4.0, taper=0.0, lead_pad=0.0, closed=False)
 def test_screw_run_of_abrupt_window_spans_all_inner_slices():
     o = screw_operator()
     assert o.screw == op.ScrewRun(q=helical().params["z_wavenumber"] / 2, start=1,
-                                  stop=o.n_slices - 1)
+                                  stop=o.n_slices - 1, mirror=True)
     run = slice(o.screw.start, o.screw.stop)
     w = o.screw.gauge(o.basis.modes, o.z_nodes[run])
     rotated = w.conj()[:, :, None] * o.onsite[run] * w[:, None, :]

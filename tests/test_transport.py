@@ -300,6 +300,21 @@ def test_polarization_rejects_unknown_side():
         tr.polarization(s, side="rigth")
 
 
+def test_polarization_rejects_a_pair_below_1():
+    s = tr.rgf_smatrix(homogeneous_operator(), 2.0)
+    with pytest.raises(ValueError, match="pair must be a positive mode index"):
+        tr.polarization(s, pair=0)
+
+
+def test_sweep_rejects_a_closed_operator():
+    basis = op.ChannelBasis(l_max=2, radius=1.0)
+    closed = op.assemble_coupled_channel(
+        cf.homogeneous_profile(), WELL, basis, length=1.0, dz=0.05, closed=True
+    )
+    with pytest.raises(ValueError, match="closed=False"):
+        tr.energy_sweep(closed, [2.0])
+
+
 # ---------------------------------------------------------------------------
 # scattering densities
 # ---------------------------------------------------------------------------
@@ -816,6 +831,7 @@ def test_fold_squares_through_the_mirror_only_where_the_run_has_it(monkeypatch):
     for skew, mirrored in ((0.0, True), (0.15, False)):
         o = skewed_operator(skew)
         assert o.screw is not None and len(tr._sectors(o)) == 2
+        assert o.screw.mirror is mirrored
         squarings.clear()
         for e1 in energies:
             folded = tr._solve(o, tr._sectors(o), o.lead_mode_set([e1]), Counter())
@@ -951,6 +967,12 @@ def test_plateau_one_point_short_is_dropped():
     sigma = np.array([0.5] + [3.0] * 9 + [0.5] * 3)
     assert tr.detect_plateaus(e_rel, sigma, min_points=10) == []
     assert [p["points"] for p in tr.detect_plateaus(e_rel, sigma, min_points=9)] == [9]
+
+
+@pytest.mark.parametrize("e_min, e_max", [(1.0, 1.0), (2.0, 1.0)])
+def test_sweep_energies_reject_an_empty_range(e_min, e_max):
+    with pytest.raises(ValueError, match="need e_max > e_min"):
+        tr.sweep_energies(e_min, e_max, 11, np.array([0.5]))
 
 
 def test_sweep_energies_stay_inside_range():
