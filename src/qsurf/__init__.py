@@ -20,7 +20,6 @@ from .confinement import (
     effective_potential,
     helical_profile,
     homogeneous_profile,
-    transverse_ground_energy,
     validate_profile,
 )
 from .errors import (

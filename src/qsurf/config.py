@@ -5,6 +5,9 @@ physics objects.  All physical quantities are in natural units (lengths a,
 energies e0).  Defaults follow the published parameter set where one exists
 (epsilon = 0.1, Omega = 8/a, E0 = 70 e0) and the documented assumptions where
 it does not (cylinder radius r = 1a, tilt kappa = 1, two ditch lines m_d = 2).
+Each confinement parameter has one spelling: ``profile.epsilon = 0`` is the
+homogeneous profile, and ``well.e0`` is the transverse ground-state energy E0
+that scales the inhomogeneity potential (s - 1) * E0.
 
 ``resolve`` validates every section and turns the config into ready-to-use
 physics objects plus fully determined numerical parameters.  One default is
@@ -30,15 +33,14 @@ from . import confinement, geometry, operator, transport
 from .errors import ConfigError, ProfileError, ResolutionError
 
 
-@dataclass
+@dataclass(slots=True)
 class ChartSpec:
     kind: str = "cylinder"
     params: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class ProfileSpec:
-    kind: Literal["helical", "homogeneous"] = "helical"
     epsilon: float = field(default=0.1, metadata={"min": 0, "max": 0.5})
     omega: float = 8.0
     kappa: float = 1.0
@@ -46,13 +48,12 @@ class ProfileSpec:
     round_omega: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class WellSpec:
-    e0: Optional[float] = field(default=70.0, metadata={"above": 0})
-    omega: Optional[float] = field(default=None, metadata={"above": 0})
+    e0: float = field(default=70.0, metadata={"above": 0})
 
 
-@dataclass
+@dataclass(slots=True)
 class NumericsSpec:
     l_max: Optional[int] = None  # default: coupling shells beyond open modes
     dz: Optional[float] = field(default=None, metadata={"above": 0})  # slice step
@@ -66,7 +67,7 @@ class NumericsSpec:
     spectrum_count: int = field(default=10, metadata={"min": 1})
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepSpec:
     e1_min: float = 0.1
     e1_max: float = 4.5
@@ -77,12 +78,12 @@ class SweepSpec:
     record_l: int = field(default=2, metadata={"min": 0})
 
 
-@dataclass
+@dataclass(slots=True)
 class OutputSpec:
     prefix: str = "run"
 
 
-@dataclass
+@dataclass(slots=True)
 class RunConfig:
     chart: ChartSpec = field(default_factory=ChartSpec)
     profile: ProfileSpec = field(default_factory=ProfileSpec)
@@ -282,27 +283,18 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
     if cfg.chart.kind == "cylinder":
         radius = float(cfg.chart.params.get("radius", 1.0))
 
-    if (cfg.well.e0 is None) == (cfg.well.omega is None):
-        raise ConfigError(
-            "exactly one of well.e0 and well.omega must be set, got "
-            f"e0 = {cfg.well.e0!r}, omega = {cfg.well.omega!r}"
-        )
-    well = confinement.TransverseWell(e0=cfg.well.e0, omega=cfg.well.omega)
-    e0 = confinement.transverse_ground_energy(well)
+    well = confinement.TransverseWell(e0=cfg.well.e0)
 
     p = cfg.profile
-    try:
-        if p.kind == "homogeneous" or p.epsilon == 0.0:
-            profile = confinement.homogeneous_profile()
-        else:
-            profile = confinement.helical_profile(
-                p.epsilon,
-                p.omega,
-                p.kappa,
-                radius=radius,
-                ditch_count=p.ditch_count,
-                round_omega=p.round_omega,
-            )
+    try:  # epsilon = 0 gives the homogeneous profile
+        profile = confinement.helical_profile(
+            p.epsilon,
+            p.omega,
+            p.kappa,
+            radius=radius,
+            ditch_count=p.ditch_count,
+            round_omega=p.round_omega,
+        )
     except ProfileError as exc:
         # name the config keys behind the library's omega*radius checks
         message = str(exc).replace("pass round_omega=True", "set profile.round_omega")
@@ -322,9 +314,9 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
     e1_max_abs = sw.e1_max + shift
     e1_max_rel = e1_max_abs - band_bottom
 
-    if e0 < 10.0 * e1_max_rel:
+    if well.e0 < 10.0 * e1_max_rel:
         warnings.warn(
-            f"transverse ground energy E0 = {e0:g} does not dominate the "
+            f"transverse ground energy E0 = {well.e0:g} does not dominate the "
             f"tangential window (max E1 = {e1_max_rel:g}); the surface "
             "approximation degrades",
             stacklevel=2,
@@ -409,9 +401,15 @@ def resolve(cfg: RunConfig) -> ResolvedSetup:
 def build_operator(setup: ResolvedSetup):
     """Assemble the coupled-channel operator described by a resolved setup.
 
-    The operator's errors lead with the parameter at fault (``dz`` or
-    ``length``), so the ConfigError names ``numerics.<key>``.
+    Transport runs on the cylinder only; another chart is a ConfigError that
+    names ``chart.kind``.  The operator's errors lead with the parameter at
+    fault (``dz`` or ``length``), so the ConfigError names ``numerics.<key>``.
     """
+    if setup.chart.kind != "cylinder":
+        raise ConfigError(
+            f"chart.kind = {setup.chart.kind!r}: sweeps and density maps run on "
+            "the cylinder only; the curvature and spectrum commands take every chart"
+        )
     try:
         return operator.assemble_coupled_channel(
             setup.profile,

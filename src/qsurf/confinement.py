@@ -4,8 +4,9 @@ The confining potential across the surface is scaled by a dimensionless,
 continuous morphology function s close to unity.  Squeezing onto the surface
 leaves two potential terms in the effective Hamiltonian: the curvature term
 from :mod:`qsurf.geometry` and an inhomogeneity term (s - 1) * E0, where E0 is
-the transverse ground-state energy.  A ditch (s < 1, locally weaker
-confinement) is attractive with depth up to epsilon * E0.
+the transverse ground-state energy, the one number a :class:`TransverseWell`
+holds.  A ditch (s < 1, locally weaker confinement) is attractive with depth
+up to epsilon * E0; epsilon = 0 is the homogeneous profile s = 1.
 """
 
 from __future__ import annotations
@@ -53,29 +54,16 @@ class ConfinementProfile:
 
 @dataclass(frozen=True)
 class TransverseWell:
-    """Transverse harmonic well, given by frequency or ground energy directly.
+    """Transverse well, given by its ground-state energy E0 > 0  [e0].
 
-    With hbar = 1 and energies in e0, the ground state energy is omega / 2.
-    Exactly one of ``omega`` and ``e0`` must be provided.
+    For a harmonic well of frequency omega (hbar = 1), E0 = omega / 2.
     """
 
-    omega: Optional[float] = None
-    e0: Optional[float] = None
+    e0: float
 
     def __post_init__(self):
-        if (self.omega is None) == (self.e0 is None):
-            raise ProfileError("specify exactly one of omega and e0")
-        if self.omega is not None and self.omega <= 0.0:
-            raise ProfileError("transverse frequency must be positive")
-        if self.e0 is not None and self.e0 <= 0.0:
+        if self.e0 <= 0.0:
             raise ProfileError("transverse ground energy must be positive")
-
-
-def transverse_ground_energy(well: TransverseWell) -> float:
-    """Ground-state energy of the transverse well: omega/2, or e0 as given."""
-    if well.e0 is not None:
-        return float(well.e0)
-    return 0.5 * float(well.omega)
 
 
 def homogeneous_profile() -> ConfinementProfile:
@@ -189,7 +177,7 @@ def add_morphology(v, profile: Optional[ConfinementProfile], well, q1, q2):
         return v
     if well is None:
         raise ValueError("a transverse well is required with a profile")
-    return v + (profile(q1, q2) - 1.0) * transverse_ground_energy(well)
+    return v + (profile(q1, q2) - 1.0) * well.e0
 
 
 def effective_potential(

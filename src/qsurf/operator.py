@@ -26,7 +26,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .confinement import ConfinementProfile, TransverseWell, add_morphology
-from .confinement import transverse_ground_energy
 from .errors import NumericalError, ResolutionError
 from .geometry import SurfaceChart, curvature, metric
 
@@ -346,7 +345,7 @@ def required_dz(
     """
     depth = 0.0
     if profile is not None and profile.kind != "homogeneous" and well is not None:
-        depth = profile.epsilon * transverse_ground_energy(well)
+        depth = profile.epsilon * well.e0
     k2 = e1_max - basis.threshold(0) + depth
     dz = MAX_K_DZ / math.sqrt(k2) if k2 > 0.0 else math.inf
     if profile is not None and profile.z_period is not None:

@@ -594,11 +594,13 @@ def scattering_density(
 
     The channel amplitudes are solved on every slice by the slice recursion
     and back-substitution, and synthesized on a uniform theta grid.  ``side``
-    is the lead the wave is incident from.  A singular slice block raises
-    NumericalError naming the slice.
+    is the lead the wave is incident from.  A mode outside the basis raises
+    ValueError naming ``l_max``, a closed one ClosedChannelError, and a
+    singular slice block NumericalError naming the slice.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    op.basis.index(l_incident)  # a mode outside the basis names l_max
     leads = _leads(op, e1)[0]
     # a closed mode is decided by the leads alone, before the device is solved
     hits = np.flatnonzero((op.basis.modes == l_incident) & leads.open_mask)
@@ -654,15 +656,19 @@ def energy_sweep(
 ) -> ConductanceCurve:
     """Run the scattering problem over a grid of absolute E1 values.
 
-    ``record_l`` bounds |l| of the recorded mode-resolved pairs; ``pair``
-    selects the polarization pair.  Energies with the same open channels form
-    a stack, cut into blocks of at most _ENERGY_BLOCK energies, which
-    ``workers`` threads solve (numpy releases the GIL in the batched linear
-    algebra).  Per-point failures go to ``failures`` and the sweep continues;
-    flagged threshold energies are named in one ThresholdProximityWarning.
-    The blocks do not depend on ``workers``, so neither do the output and the
-    ``solver`` counts.
+    ``record_l`` (at least 0) bounds |l| of the recorded mode-resolved pairs;
+    ``pair`` (at least 1) selects the polarization pair.  Energies with the
+    same open channels form a stack, cut into blocks of at most _ENERGY_BLOCK
+    energies, which ``workers`` threads solve (numpy releases the GIL in the
+    batched linear algebra).  Per-point failures go to ``failures`` and the
+    sweep continues; flagged threshold energies are named in one
+    ThresholdProximityWarning.  The blocks do not depend on ``workers``, so
+    neither do the output and the ``solver`` counts.
     """
+    if pair <= 0:
+        raise ValueError("pair must be a positive mode index")
+    if record_l < 0:
+        raise ValueError(f"record_l must be at least 0, got {record_l}")
     energies = np.asarray(energies, dtype=float)
     n_e = energies.size
     n_rec = 2 * record_l + 1

@@ -97,6 +97,51 @@ def test_cmd_n_theta_is_unknown_key(tmp_path, capsys, config, sets):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("route", ["file", "set"])
+@pytest.mark.parametrize(
+    "section, key, literal",
+    [("profile", "kind", '"homogeneous"'), ("well", "omega", "140")],
+    ids=["profile.kind", "well.omega"],
+)
+def test_cmd_second_spelling_is_unknown_key(
+    tmp_path, capsys, route, section, key, literal
+):
+    # profile.epsilon = 0 is the homogeneous profile and well.e0 the one
+    # transverse scale; the second spellings of both are gone
+    config = tmp_path / "cfg.json"
+    args = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+    if route == "file":
+        config.write_text(f'{{"{section}": {{"{key}": {literal}}}}}', encoding="utf-8")
+    else:
+        config.write_text("{}", encoding="utf-8")
+        args += ["--set", f"{section}.{key}={literal}"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "unknown key" in err and repr(key) in err, err
+    if route == "file":
+        allowed = sorted(f.name for f in dataclasses.fields(cfgmod._SECTIONS[section]))
+        assert f"(allowed: {allowed})" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_specs_reject_undeclared_fields():
+    # a field set in Python that the schema does not declare would otherwise
+    # be an attribute that resolve never reads
+    cfg = cfgmod.RunConfig()
+    for spec in [cfg] + [getattr(cfg, f.name) for f in dataclasses.fields(cfg)]:
+        with pytest.raises(AttributeError):
+            spec.undeclared = 1
+    for section, key, value in [
+        ("profile", "kind", "homogeneous"),
+        ("well", "omega", 140.0),
+        ("numerics", "n_theta", 16),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(getattr(cfg, section), key, value)
+    assert cfg == cfgmod.RunConfig()
+
+
 def test_validation_rejects_bad_epsilon():
     cfg = paper_config()
     cfg.profile.epsilon = 0.9
@@ -189,11 +234,9 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, route, section, key, lite
 
 # a value just outside the declared bound or enum of every constrained field
 OUTSIDE = [
-    ("profile", "kind", "helix"),
     ("profile", "epsilon", 0.5000000000000001),
     ("profile", "ditch_count", 3),
     ("well", "e0", 0.0),
-    ("well", "omega", 0.0),
     ("sweep", "reference", "Threshold"),
     ("sweep", "n_points", 0),
     ("sweep", "pair", 0),
@@ -233,7 +276,6 @@ def test_cmd_value_outside_constraint_exits_1(
     [
         ("profile.epsilon=0.7", ["profile.epsilon"]),
         ("profile.ditch_count=3", ["profile.ditch_count"]),
-        ("well.omega=140", ["well.e0", "well.omega"]),  # e0 keeps its default
         ('chart.params={"radius": -1}', ["chart.params"]),
         (
             ("profile.omega=0.3", "profile.ditch_count=null"),
@@ -245,7 +287,7 @@ def test_cmd_value_outside_constraint_exits_1(
         ),
     ],
     ids=[
-        "epsilon", "ditch_count", "well", "chart_params",
+        "epsilon", "ditch_count", "chart_params",
         "omega_below_1", "omega_off_integer",
     ],
 )
@@ -279,7 +321,7 @@ def test_cmd_non_finite_chart_params_exit_1(
     # the sphere used to write all-NaN M, K and Vg columns and exit 0
     cfg = paper_config()
     cfg.chart.kind = kind
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     args = ["--out", str(tmp_path / "out")]
     if route == "file":
         cfg.chart.params = params
@@ -298,7 +340,8 @@ def test_readme_schema_names_every_field():
     cfgmod.parse(block)
     document = json.loads(block)
     assert set(document) == {f.name for f in dataclasses.fields(cfgmod.RunConfig)}
-    for section, spec in vars(cfgmod.RunConfig()).items():
+    for section in dataclasses.fields(cfgmod.RunConfig):
+        section, spec = section.name, section.default_factory
         keys = {f.name for f in dataclasses.fields(spec)}
         assert set(document[section]) == keys, section
         for key in keys:  # every field has a row of accepted values
@@ -375,7 +418,7 @@ def test_cmd_curvature_torus_matches_closed_form(tmp_path):
 
 def test_cmd_sweep_homogeneous_staircase(tmp_path):
     cfg = paper_config(n_points=120, e1_min=0.1, e1_max=4.5)
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     path = write_config(tmp_path, cfg)
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "run_sweep_summary.json").read_text())
@@ -506,7 +549,7 @@ def test_cmd_sweep_empty_range_exits_1(tmp_path):
 
 def test_cmd_density_homogeneous_uniform(tmp_path):
     cfg = paper_config()
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     cfg.numerics.length = 2.0
     path = write_config(tmp_path, cfg)
     rc = cli.main(
@@ -551,7 +594,7 @@ def test_cmd_empty_chart_grid_exits_1(tmp_path, capsys, override, command):
 
 def test_cmd_summaries_report_stage_timing(tmp_path):
     cfg = paper_config(n_points=4, e1_min=0.4, e1_max=2.0)
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     cfg.numerics.length = 2.0
     path = write_config(tmp_path, cfg)
     argv = ["--config", str(path), "--out", str(tmp_path)]
@@ -567,7 +610,7 @@ def test_cmd_summaries_record_provenance(tmp_path):
     # versions and the SHA-256 of the config each run used, stable on reruns;
     # density hashes its config after setting the lead_pad default
     cfg = paper_config(n_points=4, e1_min=0.4, e1_max=2.0)
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     cfg.numerics.length = 2.0
     cfg.numerics.grid_n1, cfg.numerics.grid_n2 = 12, 24
     path = write_config(tmp_path, cfg)
@@ -639,7 +682,7 @@ def test_cmd_spectrum_reruns_bit_identical(tmp_path):
     cfg = paper_config()
     cfg.chart.kind = "sphere"
     cfg.chart.params = {"radius": 1.0}
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     cfg.numerics.grid_n1, cfg.numerics.grid_n2 = 12, 24
     runs = {
         "spectrum": (write_config(tmp_path, cfg), []),
@@ -658,7 +701,7 @@ def test_cmd_spectrum_reruns_bit_identical(tmp_path):
 
 def test_cmd_density_closed_channel_names_threshold(tmp_path, capsys):
     cfg = paper_config()
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     cfg.numerics.length = 2.0
     path = write_config(tmp_path, cfg)
     rc = cli.main(
@@ -683,9 +726,10 @@ def test_cmd_density_closed_mode_reported_in_sweep_reference(
     tmp_path, capsys, reference, threshold
 ):
     # l = 7 opens at 49 - V_g = 48.75 absolute, 49 above the band bottom -0.25;
-    # the message repeats --e1 as given and the threshold in the same frame
+    # the message repeats --e1 as given and the threshold in the same frame.
+    # l_max = 7 puts the mode in the basis: beyond it, the message names l_max
     config = tmp_path / "cfg.json"
-    config.write_text("{}", encoding="utf-8")
+    config.write_text('{"numerics": {"l_max": 7}}', encoding="utf-8")
     argv = ["density", "--config", str(config), "--out", str(tmp_path / "out")]
     argv += ["--e1", "2.2", "--mode", "7", "--set", f'sweep.reference="{reference}"']
     assert cli.main(argv) == 1
@@ -713,6 +757,37 @@ def test_cmd_density_e1_above_e1_max_exits_1(tmp_path, capsys):
     assert (tmp_path / "out" / "run_density.csv").exists()
 
 
+def test_cmd_density_mode_outside_basis_names_l_max(tmp_path, capsys):
+    # a mode beyond l_max is not in the basis at all: the message names the
+    # bound instead of a threshold far above the window
+    config = tmp_path / "cfg.json"
+    config.write_text('{"numerics": {"length": 1.6}}', encoding="utf-8")
+    argv = ["density", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["--e1", "2.2", "--mode", "99"]) == 1
+    err = capsys.readouterr().err
+    assert "mode 99 outside basis (l_max=6)" in err
+    assert "closed" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "density"])
+@pytest.mark.parametrize("kind", ["sphere", "torus", "plane"])
+def test_cmd_transport_on_non_cylinder_chart_exits_1(tmp_path, capsys, command, kind):
+    # transport solves the cylinder; it used to solve a radius-1 cylinder
+    # while the summary recorded the other chart
+    cfg = paper_config(n_points=4)
+    cfg.chart.kind, cfg.chart.params = kind, {}
+    path = write_config(tmp_path, cfg)
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "density":
+        argv += ["--e1", "2.2", "--mode", "1", "--n-theta", "8"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"chart.kind = {kind!r}" in err and "cylinder only" in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_sweep_below_band_bottom_names_e1_max(tmp_path, capsys):
     # a homogeneous profile has no helix pitch, and an energy range below the
     # band bottom gives no wavelength: no slice spacing follows until
@@ -720,7 +795,7 @@ def test_cmd_sweep_below_band_bottom_names_e1_max(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text("{}", encoding="utf-8")
     argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
-    argv += ["--set", 'profile.kind="homogeneous"', "--set", "sweep.e1_min=-3"]
+    argv += ["--set", "profile.epsilon=0", "--set", "sweep.e1_min=-3"]
     argv += ["--set", "sweep.e1_max=-1", "--set", "sweep.n_points=4"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
@@ -737,7 +812,7 @@ def test_cmd_density_factorisation_failure_exits_2(tmp_path, capsys, monkeypatch
     # dz = 2^-5 makes the forged entry round-trip exactly, and it sits in the
     # incident channel, the one sector the density solves
     cfg = paper_config()
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     cfg.numerics.length = 2.0
     cfg.numerics.dz = 2**-5
     path = write_config(tmp_path, cfg)
@@ -774,7 +849,7 @@ def test_cmd_spectrum_sphere(tmp_path):
     cfg = paper_config()
     cfg.chart.kind = "sphere"
     cfg.chart.params = {"radius": 1.0}
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     cfg.numerics.grid_n1 = 60
     cfg.numerics.grid_n2 = 120
     cfg.numerics.spectrum_count = 4
@@ -981,7 +1056,7 @@ def test_cmd_degenerate_chart_range_exits_1(tmp_path, capsys, kind, params, comm
     # these ended in ZeroDivisionError, DomainError or a "numerical failure"
     cfg = paper_config()
     cfg.chart.kind, cfg.chart.params = kind, params
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     path = write_config(tmp_path, cfg)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -994,7 +1069,7 @@ def test_cmd_chart_degenerate_on_grid_exits_2(tmp_path, capsys, command):
     # a valid chart whose metric is singular on the grid is a numerical failure
     cfg = paper_config()
     cfg.chart.kind, cfg.chart.params = "plane", {"shear": 1e9}
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     path = write_config(tmp_path, cfg)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "numerical failure: degenerate parametrization" in capsys.readouterr().err

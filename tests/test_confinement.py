@@ -1,8 +1,11 @@
 """Morphology profiles, transverse well, and the combined effective potential."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import qsurf
 from qsurf import confinement as cf
 from qsurf import geometry as geo
 from qsurf.errors import ProfileError
@@ -103,25 +106,25 @@ def test_profile_periodic_in_theta():
 # ---------------------------------------------------------------------------
 
 
-def test_ground_energy_from_frequency():
-    # hbar*omega = 140 e0 -> E0 = 70 e0 (the studied setup's value)
-    assert cf.transverse_ground_energy(cf.TransverseWell(omega=140.0)) == 70.0
-    assert cf.transverse_ground_energy(cf.TransverseWell(omega=2.0)) == 1.0
-
-
 def test_ground_energy_passthrough():
-    assert cf.transverse_ground_energy(cf.TransverseWell(e0=70.0)) == 70.0
+    # E0 is the one number of the well, and the morphology term reads it as is
+    well = cf.TransverseWell(e0=E0_REFERENCE)
+    assert [f.name for f in dataclasses.fields(well)] == ["e0"]
+    v = cf.add_morphology(0.0, paper_profile(), well, 0.0, 0.0)
+    assert v == (0.9 - 1.0) * E0_REFERENCE
 
 
 def test_well_validation():
-    with pytest.raises(ProfileError):
+    with pytest.raises(TypeError):
         cf.TransverseWell()
-    with pytest.raises(ProfileError):
-        cf.TransverseWell(omega=140.0, e0=70.0)
-    with pytest.raises(ProfileError):
-        cf.TransverseWell(omega=-1.0)
+    with pytest.raises(TypeError):  # no second spelling: E0 = omega/2 is the caller's
+        cf.TransverseWell(omega=140.0)
     with pytest.raises(ProfileError):
         cf.TransverseWell(e0=0.0)
+    with pytest.raises(ProfileError):
+        cf.TransverseWell(e0=-1.0)
+    assert not hasattr(qsurf, "transverse_ground_energy")
+    assert not hasattr(cf, "transverse_ground_energy")
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def sphere_config():
     cfg = cfgmod.RunConfig()
     cfg.chart.kind = "sphere"
     cfg.chart.params = {"radius": 1.0}
-    cfg.profile.kind = "homogeneous"
+    cfg.profile.epsilon = 0.0
     cfg.numerics.grid_n1 = 6
     cfg.numerics.grid_n2 = 12
     cfg.numerics.spectrum_count = 4

@@ -252,8 +252,7 @@ valid_configs = st.builds(
 def test_constrained_fields_are_the_declared_ones():
     names = {f"{section}.{key}" for section, key, _ in CONSTRAINED}
     assert names == {
-        "profile.kind", "profile.epsilon", "profile.ditch_count", "sweep.reference",
-        "well.e0", "well.omega",
+        "profile.epsilon", "profile.ditch_count", "sweep.reference", "well.e0",
         "sweep.n_points", "sweep.pair", "sweep.record_l",
         "numerics.workers", "numerics.grid_n1", "numerics.grid_n2",
         "numerics.spectrum_count", "numerics.taper", "numerics.lead_pad",

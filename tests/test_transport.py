@@ -306,6 +306,18 @@ def test_polarization_rejects_a_pair_below_1():
         tr.polarization(s, pair=0)
 
 
+@pytest.mark.parametrize("pair", [0, -1])
+def test_sweep_rejects_a_pair_below_1(pair):
+    # pair = -1 used to flip the sign of P_Lz and pair = 0 to report zeros
+    with pytest.raises(ValueError, match="pair must be a positive mode index"):
+        tr.energy_sweep(homogeneous_operator(), [2.0], pair=pair)
+
+
+def test_sweep_rejects_a_negative_record_l():
+    with pytest.raises(ValueError, match="record_l must be at least 0, got -1"):
+        tr.energy_sweep(homogeneous_operator(), [2.0], record_l=-1)
+
+
 def test_sweep_rejects_a_closed_operator():
     basis = op.ChannelBasis(l_max=2, radius=1.0)
     closed = op.assemble_coupled_channel(
@@ -336,6 +348,13 @@ def test_density_closed_channel_raises_with_threshold():
     o = homogeneous_operator(include_vg=False, length=2.0)
     with pytest.raises(ClosedChannelError, match="threshold"):
         tr.scattering_density(o, 0.5, l_incident=1)
+
+
+def test_density_mode_outside_basis_names_l_max():
+    # not a closed channel: the basis has no mode 99 at all
+    o = homogeneous_operator(l_max=6, length=2.0)
+    with pytest.raises(ValueError, match=r"mode 99 outside basis \(l_max=6\)"):
+        tr.scattering_density(o, 2.0, l_incident=99)
 
 
 def test_density_closed_channel_raises_before_the_device_solve(monkeypatch):
